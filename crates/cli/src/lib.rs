@@ -1455,6 +1455,20 @@ mod tests {
     }
 
     #[test]
+    fn profile_json_reports_the_provenance_work_counters() {
+        let cmd = parse_args(&args(&["profile", "bench:sr"])).unwrap();
+        let payload = super::run(&cmd).unwrap().payload_json();
+        let counter = |key| payload.get(key).and_then(|v| v.as_f64()).unwrap();
+        let (allocated, peak) = (counter("nodes_allocated"), counter("nodes_peak_live"));
+        assert!(allocated > 0.0 && peak > 0.0 && peak <= allocated);
+        assert_eq!(
+            super::run(&cmd).unwrap().payload_json(),
+            payload,
+            "deterministic"
+        );
+    }
+
+    #[test]
     fn encode_then_run_binary_image_roundtrips() {
         let dir = std::env::temp_dir().join("amnesiac-cli-test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -282,9 +282,12 @@ impl Response {
                 let mut out = String::new();
                 let _ = writeln!(
                     out,
-                    "{} load sites over {} dynamic instructions:",
+                    "{} load sites over {} dynamic instructions \
+                     ({} provenance nodes allocated, {} peak live):",
                     profile.loads.len(),
-                    profile.instructions
+                    profile.instructions,
+                    profile.work.nodes_allocated,
+                    profile.work.nodes_peak_live
                 );
                 for site in profile.loads.values() {
                     let pr = site.probabilities();
@@ -617,6 +620,8 @@ impl Response {
             Response::Profile { program, profile } => Json::obj()
                 .with("program", program.as_str())
                 .with("instructions", profile.instructions)
+                .with("nodes_allocated", profile.work.nodes_allocated)
+                .with("nodes_peak_live", profile.work.nodes_peak_live)
                 .with(
                     "sites",
                     profile

@@ -228,6 +228,7 @@ mod tests {
             all_loads: LevelStats::default(),
             instructions: 0,
             pc_counts: Vec::new(),
+            work: Default::default(),
         }
     }
 

@@ -2,14 +2,13 @@
 //! [`ProgramProfile`].
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use amnesiac_isa::{Instruction, Program, NUM_REGS};
-use amnesiac_mem::{FastMap, LevelStats};
+use amnesiac_isa::{Instruction, Program, Reg, NUM_REGS};
+use amnesiac_mem::{FastMap, LevelStats, ServiceLevel};
 use amnesiac_sim::{ClassicCore, CoreConfig, Observer, RetireEvent, RunError, RunResult};
 
-use crate::provenance::ValueNode;
-use crate::tree::ProvNode;
+use crate::provenance::{Arena, MAX_NODES_PER_RETIREMENT, NIL};
+use crate::tree::{Instance, ProvNode};
 
 /// Why a load site cannot be swapped for recomputation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +100,15 @@ pub struct StoreSiteProfile {
     pub unread: u64,
 }
 
+/// Deterministic work counters of a profiling run's provenance arena.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProfilerWork {
+    /// Provenance nodes allocated over the run, shallow clones included.
+    pub nodes_allocated: u64,
+    /// Most provenance nodes live at once: the arena's high-water mark.
+    pub nodes_peak_live: u64,
+}
+
 /// Everything the amnesic compiler needs to know about one program's
 /// dynamic behaviour.
 #[derive(Debug, Clone)]
@@ -117,6 +125,8 @@ pub struct ProgramProfile {
     /// overheads in the compiler's energy estimates). Dense: indexed by pc,
     /// one slot per main-code instruction.
     pub pc_counts: Vec<u64>,
+    /// What the profiling run cost the provenance tracker.
+    pub work: ProfilerWork,
 }
 
 impl ProgramProfile {
@@ -133,9 +143,10 @@ impl ProgramProfile {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct MemCell {
-    node: Option<Rc<ValueNode>>,
+    /// Provenance of the stored value (an arena root, [`NIL`] if untracked).
+    node: u32,
     store_pc: usize,
     read: bool,
 }
@@ -143,7 +154,9 @@ struct MemCell {
 struct Tracker<'p> {
     program: &'p Program,
     regs: [u64; NUM_REGS],
-    reg_prov: Vec<Option<Rc<ValueNode>>>,
+    arena: Arena,
+    /// Provenance of each register's value (arena roots).
+    reg_prov: [u32; NUM_REGS],
     /// Probed on every dynamic load and store; fixed-key hashing (the keys
     /// are simulated addresses) keeps the per-retirement cost down.
     mem_prov: FastMap<u64, MemCell>,
@@ -165,7 +178,8 @@ impl<'p> Tracker<'p> {
         Tracker {
             program,
             regs: [0; NUM_REGS],
-            reg_prov: vec![None; NUM_REGS],
+            arena: Arena::default(),
+            reg_prov: [NIL; NUM_REGS],
             mem_prov: FastMap::default(),
             loads: vec![None; program.code_len],
             stores: vec![None; program.code_len],
@@ -175,14 +189,15 @@ impl<'p> Tracker<'p> {
         }
     }
 
-    fn on_load(&mut self, event: &RetireEvent<'_>) {
-        let addr = event.addr.expect("loads carry an address");
-        let value = event.result.expect("loads produce a value");
-        let level = event.level.expect("loads carry a service level");
-        let pc = event.pc;
+    /// Points `dst` at `node` (whose reference the register takes over).
+    fn write_reg(&mut self, dst: Reg, node: u32, value: u64) {
+        let old = std::mem::replace(&mut self.reg_prov[dst.index()], node);
+        self.arena.release(old);
+        self.regs[dst.index()] = value;
+    }
 
+    fn on_load(&mut self, pc: usize, dst: Reg, addr: u64, value: u64, level: ServiceLevel) {
         self.all_loads.record(level);
-        let regs = &self.regs;
         let site = self.loads[pc].get_or_insert_with(|| LoadSiteProfile::new(pc));
         site.count += 1;
         site.levels.record(level);
@@ -195,20 +210,15 @@ impl<'p> Tracker<'p> {
         let cell_node = match self.mem_prov.get_mut(&addr) {
             Some(cell) => {
                 cell.read = true;
-                let store_pc = cell.store_pc;
-                let node = cell.node.clone();
-                *self.stores[store_pc]
+                *self.stores[cell.store_pc]
                     .get_or_insert_with(Default::default)
                     .consumers
                     .entry(pc)
                     .or_insert(0) += 1;
-                match node {
-                    Some(n) => Some(n),
-                    None => {
-                        site.mark_unswappable(Unswappable::NoProducer);
-                        None
-                    }
+                if cell.node == NIL {
+                    site.mark_unswappable(Unswappable::NoProducer);
                 }
+                cell.node
             }
             None => {
                 let why = if self.program.is_read_only(addr) {
@@ -217,52 +227,51 @@ impl<'p> Tracker<'p> {
                     Unswappable::NoProducer
                 };
                 site.mark_unswappable(why);
-                None
+                NIL
             }
         };
 
-        if site.unswappable.is_none() {
-            if let Some(node) = &cell_node {
-                match ProvNode::extract(node, regs, &self.last_exec) {
-                    Some(instance) => match &mut site.tree {
-                        None => site.tree = Some(instance),
-                        Some(canon) => {
-                            if !canon.merge(&instance) {
-                                site.mark_unswappable(Unswappable::UnstableRoot);
-                            }
+        if site.unswappable.is_none() && cell_node != NIL {
+            let root = self.arena.resolve_compute(cell_node);
+            let instance = Instance {
+                arena: &self.arena,
+                code: &self.program.instructions,
+                regs: &self.regs,
+                last_exec: &self.last_exec,
+            };
+            if root == NIL {
+                site.mark_unswappable(Unswappable::NoProducer);
+            } else {
+                match &mut site.tree {
+                    None => site.tree = Some(ProvNode::first_instance(root, 0, &instance)),
+                    Some(canon) => {
+                        if !canon.fold_instance(root, 0, &instance) {
+                            site.mark_unswappable(Unswappable::UnstableRoot);
                         }
-                    },
-                    None => site.mark_unswappable(Unswappable::NoProducer),
+                    }
                 }
             }
         }
 
-        // register provenance of the destination
-        let dst = event.inst.dst().expect("loads have a destination");
-        self.reg_prov[dst.index()] = Some(ValueNode::load(
-            pc,
-            event.inst.clone(),
-            value,
-            addr,
-            cell_node,
-        ));
-        self.regs[dst.index()] = value;
+        let node = self.arena.load(pc, cell_node);
+        self.write_reg(dst, node, value);
     }
 
-    fn on_store(&mut self, event: &RetireEvent<'_>) {
-        let addr = event.addr.expect("stores carry an address");
-        let src_reg = event.inst.srcs()[0].expect("stores read a source register");
-        let store = self.stores[event.pc].get_or_insert_with(Default::default);
+    fn on_store(&mut self, pc: usize, src: Reg, addr: u64) {
+        let store = self.stores[pc].get_or_insert_with(Default::default);
         store.count += 1;
+        let node = self.reg_prov[src.index()];
+        self.arena.retain(node);
         let previous = self.mem_prov.insert(
             addr,
             MemCell {
-                node: self.reg_prov[src_reg.index()].clone(),
-                store_pc: event.pc,
+                node,
+                store_pc: pc,
                 read: false,
             },
         );
         if let Some(prev) = previous {
+            self.arena.release(prev.node);
             if !prev.read {
                 self.stores[prev.store_pc]
                     .get_or_insert_with(Default::default)
@@ -271,19 +280,30 @@ impl<'p> Tracker<'p> {
         }
     }
 
-    fn on_compute(&mut self, event: &RetireEvent<'_>) {
-        let value = event.result.expect("compute instructions produce a value");
-        let dst = event.inst.dst().expect("compute instructions have a dst");
-        let mut srcs: [Option<Rc<ValueNode>>; 3] = [None, None, None];
-        for (j, reg) in event.inst.srcs().iter().enumerate() {
-            if let Some(r) = reg {
-                srcs[j] = self.reg_prov[r.index()].clone();
-            }
-        }
-        let node = ValueNode::compute(event.pc, event.inst.clone(), value, srcs, event.src_values);
-        self.reg_prov[dst.index()] = Some(node);
-        self.regs[dst.index()] = value;
-        self.last_exec[event.pc] = Some(event.src_values);
+    fn on_compute(
+        &mut self,
+        pc: usize,
+        inst: &Instruction,
+        dst: Reg,
+        value: u64,
+        src_values: [u64; 3],
+    ) {
+        let srcs = inst
+            .srcs()
+            .map(|reg| reg.map_or(NIL, |r| self.reg_prov[r.index()]));
+        let node = self.arena.compute(pc, srcs, src_values);
+        self.write_reg(dst, node, value);
+        self.last_exec[pc] = Some(src_values);
+    }
+
+    /// The register and memory roots of the arena.
+    #[cfg(test)]
+    fn roots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.reg_prov
+            .iter()
+            .copied()
+            .chain(self.mem_prov.values().map(|cell| cell.node))
+            .filter(|&root| root != NIL)
     }
 
     #[allow(clippy::type_complexity)]
@@ -294,6 +314,7 @@ impl<'p> Tracker<'p> {
         BTreeMap<usize, StoreSiteProfile>,
         LevelStats,
         Vec<u64>,
+        ProfilerWork,
     ) {
         // words never read before halt count as unread for their last store
         for cell in self.mem_prov.values() {
@@ -315,19 +336,37 @@ impl<'p> Tracker<'p> {
             .enumerate()
             .filter_map(|(pc, s)| s.map(|s| (pc, s)))
             .collect();
-        (loads, stores, self.all_loads, self.pc_counts)
+        let work = ProfilerWork {
+            nodes_allocated: self.arena.allocated(),
+            nodes_peak_live: self.arena.peak_live(),
+        };
+        (loads, stores, self.all_loads, self.pc_counts, work)
     }
 }
 
 impl Observer for Tracker<'_> {
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
-        self.pc_counts[event.pc] += 1;
-        match event.inst {
-            Instruction::Load { .. } => self.on_load(event),
-            Instruction::Store { .. } => self.on_store(event),
-            inst if inst.is_slice_compute() => self.on_compute(event),
-            _ => {} // control flow carries no value provenance
+        let (pc, inst) = (event.pc, event.inst);
+        self.pc_counts[pc] += 1;
+        let allocated = self.arena.allocated();
+        match (inst, inst.dst(), event.result, event.addr, event.level) {
+            (Instruction::Load { .. }, Some(dst), Some(value), Some(addr), Some(level)) => {
+                self.on_load(pc, dst, addr, value, level);
+            }
+            (&Instruction::Store { src, .. }, _, _, Some(addr), _) => self.on_store(pc, src, addr),
+            (_, Some(dst), Some(value), _, _) if inst.is_slice_compute() => {
+                self.on_compute(pc, inst, dst, value, event.src_values);
+            }
+            // control flow carries no value provenance
+            _ => debug_assert!(
+                !(matches!(inst, Instruction::Load { .. } | Instruction::Store { .. })
+                    || inst.is_slice_compute()),
+                "the classic core retires every load with its address, value and \
+                 level, every store with its address, every compute with its value"
+            ),
         }
+        // the bound the arena's u32 slot indices rely on
+        debug_assert!(self.arena.allocated() - allocated <= MAX_NODES_PER_RETIREMENT);
     }
 }
 
@@ -346,7 +385,7 @@ pub fn profile_program(
 ) -> Result<(ProgramProfile, RunResult), RunError> {
     let mut tracker = Tracker::new(program);
     let result = ClassicCore::new(config.clone()).run_observed(program, &mut tracker)?;
-    let (loads, stores, all_loads, pc_counts) = tracker.finish();
+    let (loads, stores, all_loads, pc_counts, work) = tracker.finish();
     Ok((
         ProgramProfile {
             loads,
@@ -354,6 +393,7 @@ pub fn profile_program(
             all_loads,
             instructions: result.instructions,
             pc_counts,
+            work,
         },
         result,
     ))
@@ -369,6 +409,47 @@ mod tests {
         profile_program(p, &CoreConfig::paper())
             .expect("run succeeds")
             .0
+    }
+
+    /// Runs the tracker over `p` and hands it back unfinished.
+    fn tracked(p: &Program) -> Tracker<'_> {
+        let mut tracker = Tracker::new(p);
+        ClassicCore::new(CoreConfig::paper())
+            .run_observed(p, &mut tracker)
+            .expect("run succeeds");
+        tracker
+    }
+
+    #[test]
+    fn live_nodes_are_exactly_the_reachable_ones_and_none_leak() {
+        for name in ["mcf", "sx", "sr"] {
+            let w = amnesiac_workloads::build_focal(name, amnesiac_workloads::Scale::Test);
+            let mut tracker = tracked(&w.program);
+            let mut seen = std::collections::HashSet::new();
+            let mut stack: Vec<u32> = tracker.roots().collect();
+            while let Some(index) = stack.pop() {
+                if seen.insert(index) {
+                    let srcs = tracker.arena.get(index).srcs;
+                    stack.extend(srcs.into_iter().filter(|&s| s != NIL));
+                }
+            }
+            assert_eq!(tracker.arena.live(), seen.len() as u64, "{name}");
+            assert!(tracker.arena.peak_live() >= tracker.arena.live());
+            let roots: Vec<u32> = tracker.roots().collect();
+            for root in roots {
+                tracker.arena.release(root);
+            }
+            assert_eq!(tracker.arena.live(), 0, "{name}: released roots free all");
+        }
+    }
+
+    #[test]
+    fn work_counters_are_deterministic() {
+        let w = amnesiac_workloads::build_focal("is", amnesiac_workloads::Scale::Test);
+        let first = profile(&w.program).work;
+        assert!(first.nodes_allocated > 0);
+        assert!(first.nodes_peak_live > 0 && first.nodes_peak_live <= first.nodes_allocated);
+        assert_eq!(profile(&w.program).work, first);
     }
 
     /// store computed value, load it back: the load site must get a tree
