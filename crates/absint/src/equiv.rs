@@ -753,22 +753,22 @@ fn compute_expr(
 ) -> Result<ExprId, String> {
     use crate::symbolic::PureKind;
     match d.op {
-        DecodedOp::Li { imm } => Ok(arena.constant(imm)),
-        DecodedOp::Alu { op } => Ok(arena.alu(op, vals[0], vals[1])),
-        DecodedOp::Alui { op, imm } => {
+        DecodedOp::Li { imm, .. } => Ok(arena.constant(imm)),
+        DecodedOp::Alu { op, .. } => Ok(arena.alu(op, vals[0], vals[1])),
+        DecodedOp::Alui { op, imm, .. } => {
             let i = arena.constant(imm);
             Ok(arena.alu(op, vals[0], i))
         }
-        DecodedOp::Fpu { op } => {
+        DecodedOp::Fpu { op, .. } => {
             let z = arena.constant(0);
             Ok(arena.pure(PureKind::Fpu(op), [vals[0], vals[1], z]))
         }
-        DecodedOp::FpuUn { op } => {
+        DecodedOp::FpuUn { op, .. } => {
             let z = arena.constant(0);
             Ok(arena.pure(PureKind::FpuUn(op), [vals[0], z, z]))
         }
-        DecodedOp::Fma => Ok(arena.pure(PureKind::Fma, vals)),
-        DecodedOp::Cvt { kind } => {
+        DecodedOp::Fma { .. } => Ok(arena.pure(PureKind::Fma, vals)),
+        DecodedOp::Cvt { kind, .. } => {
             let z = arena.constant(0);
             Ok(arena.pure(PureKind::Cvt(kind), [vals[0], z, z]))
         }

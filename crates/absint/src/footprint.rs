@@ -62,7 +62,7 @@ impl Footprint {
                         .unwrap_or(Interval::constant(0))
                 };
                 match d.op {
-                    DecodedOp::Load { offset } => accesses.push(Access {
+                    DecodedOp::Load { offset, .. } => accesses.push(Access {
                         pc,
                         kind: AccessKind::Load,
                         addr: src(0).wrapping_add_const(offset as u64),

@@ -24,7 +24,7 @@ fn use_def(d: &DecodedInst) -> (u64, u64) {
     for s in d.srcs.iter().flatten() {
         uses |= 1 << s.index();
     }
-    let def = d.dst.map(|r| 1 << r.index()).unwrap_or(0);
+    let def = d.dst().map(|r| 1 << r.index()).unwrap_or(0);
     (uses, def)
 }
 

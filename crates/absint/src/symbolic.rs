@@ -226,35 +226,35 @@ fn sym_transfer(arena: &mut ExprArena, pc: usize, d: &DecodedInst, state: &mut [
             .unwrap_or_else(|| arena.constant(0))
     };
     let out = match d.op {
-        DecodedOp::Li { imm } => Some(arena.constant(imm)),
-        DecodedOp::Alu { op } => {
+        DecodedOp::Li { imm, .. } => Some(arena.constant(imm)),
+        DecodedOp::Alu { op, .. } => {
             let a = src(arena, state, 0);
             let b = src(arena, state, 1);
             Some(arena.alu(op, a, b))
         }
-        DecodedOp::Alui { op, imm } => {
+        DecodedOp::Alui { op, imm, .. } => {
             let a = src(arena, state, 0);
             let b = arena.constant(imm);
             Some(arena.alu(op, a, b))
         }
-        DecodedOp::Fpu { op } => {
+        DecodedOp::Fpu { op, .. } => {
             let a = src(arena, state, 0);
             let b = src(arena, state, 1);
             let z = arena.constant(0);
             Some(arena.pure(PureKind::Fpu(op), [a, b, z]))
         }
-        DecodedOp::FpuUn { op } => {
+        DecodedOp::FpuUn { op, .. } => {
             let a = src(arena, state, 0);
             let z = arena.constant(0);
             Some(arena.pure(PureKind::FpuUn(op), [a, z, z]))
         }
-        DecodedOp::Fma => {
+        DecodedOp::Fma { .. } => {
             let a = src(arena, state, 0);
             let b = src(arena, state, 1);
             let c = src(arena, state, 2);
             Some(arena.pure(PureKind::Fma, [a, b, c]))
         }
-        DecodedOp::Cvt { kind } => {
+        DecodedOp::Cvt { kind, .. } => {
             let a = src(arena, state, 0);
             let z = arena.constant(0);
             Some(arena.pure(PureKind::Cvt(kind), [a, z, z]))
@@ -269,7 +269,7 @@ fn sym_transfer(arena: &mut ExprArena, pc: usize, d: &DecodedInst, state: &mut [
         | DecodedOp::Rtn
         | DecodedOp::Rec { .. } => None,
     };
-    if let (Some(v), Some(dst)) = (out, d.dst) {
+    if let (Some(v), Some(dst)) = (out, d.dst()) {
         state[dst.index()] = v;
     }
 }

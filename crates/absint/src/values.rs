@@ -27,15 +27,15 @@ pub(crate) fn transfer(d: &DecodedInst, state: &mut [Interval]) {
             .unwrap_or(Interval::constant(0))
     };
     let out = match d.op {
-        DecodedOp::Li { imm } => Some(Interval::constant(imm)),
-        DecodedOp::Alu { op } => Some(Interval::alu(op, src(state, 0), src(state, 1))),
-        DecodedOp::Alui { op, imm } => {
+        DecodedOp::Li { imm, .. } => Some(Interval::constant(imm)),
+        DecodedOp::Alu { op, .. } => Some(Interval::alu(op, src(state, 0), src(state, 1))),
+        DecodedOp::Alui { op, imm, .. } => {
             Some(Interval::alu(op, src(state, 0), Interval::constant(imm)))
         }
         // fp values are tracked as opaque bit patterns
         DecodedOp::Fpu { .. }
         | DecodedOp::FpuUn { .. }
-        | DecodedOp::Fma
+        | DecodedOp::Fma { .. }
         | DecodedOp::Cvt { .. } => Some(Interval::TOP),
         DecodedOp::Load { .. } | DecodedOp::Rcmp { .. } => Some(Interval::TOP),
         DecodedOp::Store { .. }
@@ -45,7 +45,7 @@ pub(crate) fn transfer(d: &DecodedInst, state: &mut [Interval]) {
         | DecodedOp::Rtn
         | DecodedOp::Rec { .. } => None,
     };
-    if let (Some(v), Some(dst)) = (out, d.dst) {
+    if let (Some(v), Some(dst)) = (out, d.dst()) {
         state[dst.index()] = v;
     }
 }

@@ -50,15 +50,15 @@ fn const_transfer(d: &DecodedInst, state: &mut ConstState) {
         }
     };
     let out: Option<Option<u64>> = match d.op {
-        DecodedOp::Li { imm } => Some(Some(imm)),
-        DecodedOp::Alu { op } => Some(match (src(state, 0), src(state, 1)) {
+        DecodedOp::Li { imm, .. } => Some(Some(imm)),
+        DecodedOp::Alu { op, .. } => Some(match (src(state, 0), src(state, 1)) {
             (Some(a), Some(b)) => Some(op.apply(a, b)),
             _ => None,
         }),
-        DecodedOp::Alui { op, imm } => Some(src(state, 0).map(|a| op.apply(a, imm))),
+        DecodedOp::Alui { op, imm, .. } => Some(src(state, 0).map(|a| op.apply(a, imm))),
         DecodedOp::Fpu { .. }
         | DecodedOp::FpuUn { .. }
-        | DecodedOp::Fma
+        | DecodedOp::Fma { .. }
         | DecodedOp::Cvt { .. }
         | DecodedOp::Load { .. }
         | DecodedOp::Rcmp { .. } => Some(None),
@@ -69,7 +69,7 @@ fn const_transfer(d: &DecodedInst, state: &mut ConstState) {
         | DecodedOp::Rtn
         | DecodedOp::Rec { .. } => None,
     };
-    if let (Some(v), Some(dst)) = (out, d.dst) {
+    if let (Some(v), Some(dst)) = (out, d.dst()) {
         state[dst.index()] = v;
     }
 }
@@ -99,7 +99,7 @@ fn defs_in(decoded: &[DecodedInst], cfg: &Cfg, blocks: &BTreeSet<usize>) -> u64 
     let mut mask = 0u64;
     for &b in blocks {
         for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-            if let Some(r) = decoded[pc].dst {
+            if let Some(r) = decoded[pc].dst() {
                 mask |= 1 << r.index();
             }
         }

@@ -124,9 +124,9 @@ fn step(
         }
         DecodedOp::Jump { target } => return Some(target),
         DecodedOp::Halt | DecodedOp::Rtn => return None,
-        DecodedOp::Load { offset } | DecodedOp::Rcmp { offset, .. } => {
+        DecodedOp::Load { offset, .. } | DecodedOp::Rcmp { offset, .. } => {
             let addr = vals[0].wrapping_add(offset as u64);
-            if let Some(dst) = d.dst {
+            if let Some(dst) = d.dst() {
                 regs[dst.index()] = mem.get(&addr).copied().unwrap_or(0);
             }
         }
@@ -136,7 +136,7 @@ fn step(
         }
         DecodedOp::Rec { .. } => {}
         _ => {
-            if let Some(dst) = d.dst {
+            if let Some(dst) = d.dst() {
                 regs[dst.index()] = d.eval_compute(vals);
             }
         }
@@ -209,7 +209,7 @@ fn abstract_results_contain_concrete_execution() {
             }
             // footprint: the executed access stays inside its bounds
             match decoded[pc].op {
-                DecodedOp::Load { offset } | DecodedOp::Rcmp { offset, .. } => {
+                DecodedOp::Load { offset, .. } | DecodedOp::Rcmp { offset, .. } => {
                     let addr = decoded[pc].srcs[0]
                         .map(|r| regs[r.index()])
                         .unwrap_or(0)

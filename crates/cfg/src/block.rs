@@ -5,8 +5,8 @@
 //! re-matching; this module removes the per-retirement *dispatch structure*:
 //! the main-code region is partitioned into [`DecodedBlock`]s (one per basic
 //! block, using the same [`crate::graph::leaders`] computation as the
-//! verifier), and the interpreters' outer loops run whole blocks between
-//! control decisions. Within a block, common adjacent instruction pairs are
+//! verifier), and the block engine (`amnesiac_sim::run_blocks`) runs whole
+//! blocks between control decisions. Within a block, common adjacent instruction pairs are
 //! fused into superinstructions ([`Fusion`]) so a single handler retires
 //! both halves without returning to the dispatch match:
 //!
@@ -20,64 +20,20 @@
 //! enter the middle of a superinstruction. Slice bodies past
 //! [`Program::code_len`] are lowered too (one unfused block per slice, since
 //! each slice instruction is paired with a per-position operand plan that
-//! the traversal engines walk in lock-step), so slice traversal rides the
-//! same table.
+//! the traversal engines walk in lock-step), so slice traversal indexes the
+//! same predecoded stream.
 //!
-//! Each block also carries [`DecodedBlock::category_counts`], the pre-summed
-//! per-category retirement counts of its non-memory-dependent portion.
-//! Integer counts are exact under pre-summation; the simulators' *energy*
-//! tape is not (f64 accumulation is order-sensitive), which is why the
-//! interpreters still charge per instruction — see DESIGN.md §4e.
+//! Nothing is pre-summed per block: the simulators' *energy* tape is
+//! order-sensitive (f64 accumulation), so the engine charges every
+//! instruction individually — see DESIGN.md §4e.
 
-use amnesiac_isa::{predecode, Category, DecodedInst, DecodedOp, Program};
+use amnesiac_isa::{predecode, DecodedInst, DecodedOp, Program};
 
 use crate::graph::leaders;
-
-/// Number of energy categories (the length of [`Category::ALL`]).
-pub const NUM_CATEGORIES: usize = Category::ALL.len();
 
 /// Sentinel in the pc→block map for pcs outside every block (e.g. the `RTN`
 /// trailing a slice body, or slice pcs of a malformed binary).
 const NO_BLOCK: u32 = u32::MAX;
-
-/// Interpreter dispatch granularity.
-///
-/// `Block` is the production path; `Inst` is the instruction-level oracle
-/// kept for differential testing (both must be byte-identical on
-/// architectural state, memory image, observer events, and energy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// Retire one instruction per dispatch (the PR 3 predecoded loop).
-    Inst,
-    /// Retire whole basic blocks per dispatch, with superinstruction fusion.
-    #[default]
-    Block,
-}
-
-impl Dispatch {
-    /// Parses a CLI-style mode name.
-    pub fn parse(s: &str) -> Option<Dispatch> {
-        match s {
-            "inst" => Some(Dispatch::Inst),
-            "block" => Some(Dispatch::Block),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style mode name.
-    pub fn label(self) -> &'static str {
-        match self {
-            Dispatch::Inst => "inst",
-            Dispatch::Block => "block",
-        }
-    }
-}
-
-impl std::fmt::Display for Dispatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// The superinstruction patterns recognised by the lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,12 +109,6 @@ pub struct DecodedBlock {
     units: (u32, u32),
     /// Main code or slice body.
     pub kind: BlockKind,
-    /// Pre-summed retirement counts, by [`Category`] index, of the block's
-    /// non-memory-dependent portion: every instruction whose charge is a
-    /// static function of its category (compute, branches, jumps). Loads,
-    /// stores, and `RCMP`s are excluded — their charge depends on which
-    /// hierarchy level services them at runtime.
-    pub category_counts: [u32; NUM_CATEGORIES],
 }
 
 impl DecodedBlock {
@@ -170,11 +120,6 @@ impl DecodedBlock {
     /// Returns `true` if the block covers no instructions.
     pub fn is_empty(&self) -> bool {
         self.end == self.start
-    }
-
-    /// Total pre-summed static (non-memory-dependent) retirements.
-    pub fn static_ops(&self) -> u64 {
-        self.category_counts.iter().map(|&c| u64::from(c)).sum()
     }
 }
 
@@ -302,7 +247,7 @@ impl BlockTable {
 
     /// The main-code block starting at `pc`.
     ///
-    /// Callers guarantee `pc < code_len` (the dispatch loops check the range
+    /// Callers guarantee `pc < code_len` (the engine checks the range
     /// before looking up the block) and that `pc` is a leader — control
     /// transfers only ever target leaders, which is what makes block
     /// dispatch sound.
@@ -336,17 +281,6 @@ impl BlockTable {
         &self.decoded
     }
 
-    /// The slice compute body `[entry, entry + body_len)` as a decoded
-    /// slice, for lock-step traversal against the slice's operand plans.
-    /// Returns an empty slice for out-of-range metadata (malformed binary).
-    pub fn slice_body(&self, entry: usize, body_len: usize) -> &[DecodedInst] {
-        let end = entry.saturating_add(body_len);
-        if end > self.decoded.len() {
-            return &[];
-        }
-        &self.decoded[entry..end]
-    }
-
     /// Main-code length the table was built with.
     pub fn code_len(&self) -> usize {
         self.code_len
@@ -378,19 +312,6 @@ fn fuse_pair(a: &DecodedInst, b: &DecodedInst) -> Option<Fusion> {
     None
 }
 
-/// Charged at a fixed per-category EPI regardless of runtime memory
-/// behaviour? (`Halt` is charged as a jump by every interpreter.)
-fn is_static_charge(d: &DecodedInst) -> bool {
-    !matches!(
-        d.op,
-        DecodedOp::Load { .. }
-            | DecodedOp::Store { .. }
-            | DecodedOp::Rcmp { .. }
-            | DecodedOp::Rtn
-            | DecodedOp::Rec { .. }
-    )
-}
-
 fn lower_block(
     decoded: &[DecodedInst],
     start: usize,
@@ -400,29 +321,15 @@ fn lower_block(
     units: &mut Vec<BlockInst>,
 ) -> DecodedBlock {
     let first_unit = units.len() as u32;
-    let mut category_counts = [0u32; NUM_CATEGORIES];
     let mut pc = start;
     while pc < end {
         let d = &decoded[pc];
-        if is_static_charge(d) {
-            // Halt retires with a jump charge in every interpreter.
-            let cat = if matches!(d.op, DecodedOp::Halt) {
-                Category::Jump
-            } else {
-                d.category
-            };
-            category_counts[cat as usize] += 1;
-        }
         let fused = if kind == BlockKind::Main && pc + 1 < end {
             fuse_pair(d, &decoded[pc + 1])
         } else {
             None
         };
         if let Some(f) = fused {
-            let b = &decoded[pc + 1];
-            if is_static_charge(b) {
-                category_counts[b.category as usize] += 1;
-            }
             stats.fused[Fusion::ALL
                 .iter()
                 .position(|&k| k == f)
@@ -445,7 +352,6 @@ fn lower_block(
         end,
         units: (first_unit, units.len() as u32),
         kind,
-        category_counts,
     }
 }
 
@@ -480,15 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_parses_and_displays() {
-        assert_eq!(Dispatch::parse("inst"), Some(Dispatch::Inst));
-        assert_eq!(Dispatch::parse("block"), Some(Dispatch::Block));
-        assert_eq!(Dispatch::parse("superscalar"), None);
-        assert_eq!(Dispatch::Block.to_string(), "block");
-        assert_eq!(Dispatch::default(), Dispatch::Block);
-    }
-
-    #[test]
     fn straight_line_lowers_to_one_block_with_fusion() {
         // li r1; alu r2 (LiAlu pair); halt
         let t = table_of(vec![
@@ -513,9 +410,6 @@ mod tests {
             }
         );
         assert_eq!(units[1], BlockInst { pc: 2, fused: None });
-        // li, alu, halt(→Jump) are all static charges
-        assert_eq!(b.static_ops(), 3);
-        assert_eq!(b.category_counts[Category::Jump as usize], 1);
     }
 
     #[test]
@@ -557,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn load_store_pairs_fuse_and_memory_excluded_from_static_counts() {
+    fn load_store_pairs_fuse() {
         // load r2; alu r3 (LoadAlu) ; alui r4; store (AluiStore); halt
         let t = table_of(vec![
             Instruction::Load {
@@ -581,11 +475,6 @@ mod tests {
         ]);
         assert_eq!(t.stats().fused_of(Fusion::LoadAlu), 1);
         assert_eq!(t.stats().fused_of(Fusion::AluiStore), 1);
-        let b = t.main_block(0);
-        // static: alu + alui + halt; load and store are memory-dependent
-        assert_eq!(b.static_ops(), 3);
-        assert_eq!(b.category_counts[Category::Load as usize], 0);
-        assert_eq!(b.category_counts[Category::Store as usize], 0);
         assert_eq!(t.stats().dispatch_units(), 3);
         assert!((t.stats().avg_block_len() - 5.0).abs() < 1e-12);
     }
@@ -632,7 +521,6 @@ mod tests {
         let body = t.block_of_pc(2).expect("slice body block");
         assert_eq!(body.kind, BlockKind::SliceBody);
         assert_eq!(t.units(body).len(), 2, "slice bodies never fuse");
-        assert_eq!(t.slice_body(2, 2).len(), 2);
         assert!(t.block_of_pc(4).is_none(), "RTN rides no block");
         assert_eq!(t.decoded().len(), 5);
     }

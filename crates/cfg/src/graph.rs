@@ -21,7 +21,7 @@ use amnesiac_isa::{DecodedInst, DecodedOp};
 /// This is the single leader computation in the workspace; both the static
 /// [`Cfg`] and the executable [`crate::BlockTable`] partition the code with
 /// it, so an instruction is a block start for the verifier exactly when it is
-/// a legal control-transfer landing point for the block-dispatch loops.
+/// a legal control-transfer landing point for the block engine.
 pub fn leaders(decoded: &[DecodedInst], code_len: usize, entry: usize) -> Vec<bool> {
     let code_len = code_len.min(decoded.len());
     let mut leader = vec![false; code_len];

@@ -12,20 +12,18 @@
 //! * **Execution** ([`block`]): the same leader computation lowered into a
 //!   [`BlockTable`] of [`DecodedBlock`]s — straight-line superblocks with
 //!   common adjacent instruction pairs fused into superinstructions — that
-//!   all three interpreters (`amnesiac-sim`'s classic core,
-//!   `amnesiac-core`'s amnesic core, and `amnesiac-compiler`'s validation
-//!   replay) dispatch on at block granularity.
+//!   `amnesiac-sim`'s one block engine (`run_blocks`) dispatches on. The
+//!   classic core, the amnesic core (`amnesiac-core`) and validation replay
+//!   (`amnesiac-compiler`) all run on that engine through its hooks.
 //!
 //! Keeping both views in one crate guarantees the verifier and the
-//! interpreters agree on what a basic block *is*: there is exactly one
-//! leader computation ([`graph`] exposes it to both lowerings), so a block
-//! proven single-entry by the verifier is the same block the executors run
-//! without re-dispatching.
+//! engine agree on what a basic block *is*: there is exactly one leader
+//! computation ([`graph`] exposes it to both lowerings), so a block proven
+//! single-entry by the verifier is the same block the engine runs without
+//! re-dispatching.
 
 pub mod block;
 pub mod graph;
 
-pub use block::{
-    BlockInst, BlockTable, DecodedBlock, Dispatch, Fusion, FusionStats, NUM_CATEGORIES,
-};
+pub use block::{BlockInst, BlockTable, DecodedBlock, Fusion, FusionStats};
 pub use graph::{BasicBlock, Cfg};

@@ -45,7 +45,7 @@ pub use pipeline::{
     CompileReport, SiteDecision, SiteOutcome, SliceSetPolicy,
 };
 pub use replay::{
-    replay_validate, replay_validate_table, replay_validate_with, ReplayError, ReplayOutcome,
+    replay_validate, replay_validate_table, ReplayError, ReplayHooks, ReplayOutcome,
     SliceReplayStats,
 };
 pub use slice::{SliceInstSpec, SliceSpec};

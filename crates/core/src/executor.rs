@@ -3,11 +3,14 @@
 
 use std::collections::HashSet;
 
-use amnesiac_cfg::{BlockTable, Dispatch, Fusion};
+use amnesiac_cfg::BlockTable;
 use amnesiac_energy::UarchEvent;
-use amnesiac_isa::{predecode, Category, DecodedInst, DecodedOp, OperandSource, Program, SliceId};
+use amnesiac_isa::{Category, DecodedInst, OperandSource, Program, SliceId, SliceMeta, NUM_REGS};
 use amnesiac_mem::ServiceLevel;
-use amnesiac_sim::{decoded_exception, CoreConfig, Machine, RunError, RunResult};
+use amnesiac_sim::{
+    decoded_exception, run_blocks, CoreConfig, Counts, Hooks, Machine, RcmpRetire, RunError,
+    RunResult,
+};
 use amnesiac_telemetry::{Json, ToJson};
 
 use crate::policy::Policy;
@@ -125,12 +128,6 @@ impl ToJson for AmnesicRunResult {
     }
 }
 
-enum Traversal {
-    Done(u64),
-    MissingHist,
-    SFileOverflow,
-}
-
 /// The amnesic core (§3.2–§3.3): classic in-order execution plus the
 /// amnesic scheduler, `SFile`, `Renamer`, `Hist`, and `IBuff`.
 #[derive(Debug, Clone)]
@@ -149,10 +146,8 @@ impl AmnesicCore {
         &self.config
     }
 
-    /// Runs an annotated (or classic) program to `Halt`.
-    ///
-    /// Dispatches per [`CoreConfig::dispatch`]: block-level superinstruction
-    /// execution (default) or the instruction-level differential oracle.
+    /// Runs an annotated (or classic) program to `Halt` on the shared block
+    /// engine, with [`AmnesicHooks`] handling `REC` and `RCMP`.
     ///
     /// # Errors
     ///
@@ -160,425 +155,94 @@ impl AmnesicCore {
     /// * [`AmnesicError::ValueMismatch`] if a recomputation diverges from
     ///   memory while `check_values` is set.
     pub fn run(&self, program: &Program) -> Result<AmnesicRunResult, AmnesicError> {
-        match self.config.core.dispatch {
-            Dispatch::Inst => self.run_inst(program),
-            Dispatch::Block => self.run_block(program),
-        }
-    }
-
-    /// The instruction-level path, kept verbatim as the differential oracle
-    /// for the block engine.
-    fn run_inst(&self, program: &Program) -> Result<AmnesicRunResult, AmnesicError> {
-        let mut machine = Machine::new(&self.config.core, program);
-        let mut sfile = SFile::new(self.config.sfile_capacity);
-        let mut renamer = Renamer::new();
-        let mut hist = Hist::new(self.config.hist_capacity);
-        let mut ibuff = IBuff::new(self.config.ibuff_capacity);
-        let mut stats = AmnesicStats {
-            per_slice: vec![SliceRuntimeStats::default(); program.slices.len()],
-            ..AmnesicStats::default()
-        };
-        // leaf-address keys whose REC overflowed, and the hist keys each
-        // slice depends on (§3.5: failed RECs force the owning RCMPs to
-        // perform the load)
-        let mut failed_keys: HashSet<u16> = HashSet::new();
-        let slice_keys: Vec<Vec<u16>> = program.slices.iter().map(|m| m.hist_keys()).collect();
-        let mut predictor = MissPredictor::new();
-        // Hoist the per-retirement enum re-matching out of the loop; covers
-        // slice bodies too, so `traverse` shares the same table.
-        let decoded = predecode(program);
-
-        let mut pc = program.entry;
-        let mut retired: u64 = 0;
-        let mut loads: u64 = 0;
-        let mut stores: u64 = 0;
-
-        loop {
-            if retired >= self.config.core.max_instructions {
-                return Err(RunError::FuseBlown {
-                    limit: self.config.core.max_instructions,
-                }
-                .into());
-            }
-            if pc >= program.code_len {
-                return Err(RunError::PcOutOfRange { pc }.into());
-            }
-            machine.fetch(pc);
-            let d = &decoded[pc];
-            retired += 1;
-
-            let mut vals = [0u64; 3];
-            for (j, s) in d.srcs.iter().enumerate() {
-                if let Some(r) = s {
-                    vals[j] = machine.reg(*r);
-                }
-            }
-            let mut next_pc = pc + 1;
-
-            match d.op {
-                DecodedOp::Halt => {
-                    machine.charge_op(Category::Jump);
-                    break;
-                }
-                DecodedOp::Load { offset } => {
-                    let addr = vals[0].wrapping_add(offset as u64);
-                    let (value, _) = machine.load_word(addr);
-                    machine.set_reg(d.dst.expect("loads have a dst"), value);
-                    loads += 1;
-                }
-                DecodedOp::Store { offset } => {
-                    let addr = vals[1].wrapping_add(offset as u64);
-                    machine.store_word(addr, vals[0]);
-                    stores += 1;
-                }
-                DecodedOp::Branch { cond, target } => {
-                    machine.charge_op(Category::Branch);
-                    if cond.eval(vals[0], vals[1]) {
-                        next_pc = target;
-                    }
-                }
-                DecodedOp::Jump { target } => {
-                    machine.charge_op(Category::Jump);
-                    next_pc = target;
-                }
-                DecodedOp::Rec { key } => {
-                    // checkpoint the origin's source operand values (§3.1.2)
-                    machine.charge_op(Category::Rec);
-                    machine.account.record_event(UarchEvent::HistWrite, 0.0);
-                    if !hist.write(key, vals) {
-                        failed_keys.insert(key);
-                    }
-                }
-                DecodedOp::Rcmp { offset, slice } => {
-                    machine.charge_op(Category::Rcmp);
-                    let dst = d.dst.expect("RCMP has a dst");
-                    let addr = vals[0].wrapping_add(offset as u64);
-                    let level = machine.hierarchy.peek_data(addr * 8);
-                    let meta = program.slice(slice);
-                    retired += 1; // the RCMP decision itself retires work
-
-                    let forced = meta.compute_len() > sfile.capacity()
-                        || slice_keys[slice.index()]
-                            .iter()
-                            .any(|k| failed_keys.contains(k));
-                    let fire = !forced
-                        && self.decide(program, pc, slice, level, &mut machine, &mut predictor);
-
-                    if fire {
-                        match self.traverse(
-                            program,
-                            &decoded,
-                            slice,
-                            &mut machine,
-                            &mut sfile,
-                            &mut renamer,
-                            &mut hist,
-                            &mut ibuff,
-                            &mut stats,
-                        ) {
-                            Traversal::Done(value) => {
-                                retired += meta.len as u64;
-                                stats.record_decision(slice.index(), true, level);
-                                if self.config.check_values && value != machine.peek_mem(addr) {
-                                    return Err(AmnesicError::ValueMismatch {
-                                        pc,
-                                        slice: slice.0,
-                                        expected: machine.peek_mem(addr),
-                                        got: value,
-                                    });
-                                }
-                                machine.set_reg(dst, value);
-                            }
-                            Traversal::MissingHist | Traversal::SFileOverflow => {
-                                stats.per_slice[slice.index()].forced_loads += 1;
-                                stats.performed_levels.record(level);
-                                let (value, _) = machine.load_word(addr);
-                                machine.set_reg(dst, value);
-                                loads += 1;
-                            }
-                        }
-                    } else {
-                        if forced {
-                            stats.per_slice[slice.index()].forced_loads += 1;
-                            stats.performed_levels.record(level);
-                        } else {
-                            stats.record_decision(slice.index(), false, level);
-                        }
-                        let (value, _) = machine.load_word(addr);
-                        machine.set_reg(dst, value);
-                        loads += 1;
-                    }
-                }
-                DecodedOp::Rtn => {
-                    return Err(RunError::UnexpectedInstruction {
-                        pc,
-                        what: program.instructions[pc].to_string(),
-                    }
-                    .into());
-                }
-                _ => {
-                    let value = d.eval_compute(vals);
-                    machine.set_reg(d.dst.expect("compute has dst"), value);
-                    machine.charge_op(d.category);
-                }
-            }
-            pc = next_pc;
-        }
-
-        Ok(finish_run(
-            program, machine, &sfile, &hist, &ibuff, &renamer, &predictor, stats, retired, loads,
-            stores,
-        ))
-    }
-
-    /// The block-level engine: dispatches whole basic blocks between control
-    /// decisions, with fused pairs retiring both halves inside one handler.
-    /// Slice traversal rides the same [`BlockTable`] (its predecoded stream
-    /// covers slice bodies too). Per-instruction fetch/charge order is
-    /// identical to the oracle, so energy accounting is bit-exact
-    /// (DESIGN.md §4e).
-    #[allow(clippy::too_many_lines)]
-    fn run_block(&self, program: &Program) -> Result<AmnesicRunResult, AmnesicError> {
-        let mut machine = Machine::new(&self.config.core, program);
-        let mut sfile = SFile::new(self.config.sfile_capacity);
-        let mut renamer = Renamer::new();
-        let mut hist = Hist::new(self.config.hist_capacity);
-        let mut ibuff = IBuff::new(self.config.ibuff_capacity);
-        let mut stats = AmnesicStats {
-            per_slice: vec![SliceRuntimeStats::default(); program.slices.len()],
-            ..AmnesicStats::default()
-        };
-        let mut failed_keys: HashSet<u16> = HashSet::new();
-        let slice_keys: Vec<Vec<u16>> = program.slices.iter().map(|m| m.hist_keys()).collect();
-        let mut predictor = MissPredictor::new();
-        // One lowering covers main-code superblocks and slice bodies; the
-        // table's decoded stream is what `traverse` walks.
         let table = BlockTable::build(program);
-        let decoded = table.decoded();
-        let max = self.config.core.max_instructions;
+        let mut hooks = AmnesicHooks::new(&self.config, program, table.decoded());
+        let counts = run_blocks(
+            program,
+            &table,
+            &mut hooks,
+            self.config.core.max_instructions,
+        )?;
+        Ok(hooks.finish(counts))
+    }
+}
 
-        let mut pc = program.entry;
-        let mut retired: u64 = 0;
-        let mut loads: u64 = 0;
-        let mut stores: u64 = 0;
+/// The amnesic core's [`Hooks`]: the classic [`Machine`] plus the Fig. 2
+/// structures and the runtime scheduler. `REC` checkpoints into `Hist`;
+/// `RCMP` decides per policy, traverses the slice or performs the load, and
+/// reports the extra retirements it adds.
+#[derive(Debug)]
+pub struct AmnesicHooks<'a> {
+    config: &'a AmnesicConfig,
+    program: &'a Program,
+    /// The predecoded stream, slice bodies included, that traversal walks.
+    decoded: &'a [DecodedInst],
+    machine: Machine,
+    sfile: SFile,
+    renamer: Renamer,
+    hist: Hist,
+    ibuff: IBuff,
+    predictor: MissPredictor,
+    stats: AmnesicStats,
+    /// Leaf-address keys whose `REC` overflowed, and the hist keys each
+    /// slice depends on (§3.5: failed `REC`s force the owning `RCMP`s to
+    /// perform the load).
+    failed_keys: HashSet<u16>,
+    slice_keys: Vec<Vec<u16>>,
+}
 
-        'run: loop {
-            if retired >= max {
-                return Err(RunError::FuseBlown { limit: max }.into());
-            }
-            if pc >= program.code_len {
-                return Err(RunError::PcOutOfRange { pc }.into());
-            }
-            let block = table.main_block(pc);
-            let mut next_pc = block.end;
-            for bi in table.units(block) {
-                if retired >= max {
-                    return Err(RunError::FuseBlown { limit: max }.into());
-                }
-                let ipc = bi.pc as usize;
-                match bi.fused {
-                    None => {
-                        let d = &decoded[ipc];
-                        machine.fetch(ipc);
-                        retired += 1;
-                        match d.op {
-                            DecodedOp::Halt => {
-                                machine.charge_op(Category::Jump);
-                                break 'run;
-                            }
-                            DecodedOp::Load { offset } => {
-                                step_load(&mut machine, d, offset);
-                                loads += 1;
-                            }
-                            DecodedOp::Store { offset } => {
-                                step_store(&mut machine, d, offset);
-                                stores += 1;
-                            }
-                            DecodedOp::Branch { cond, target } => {
-                                let vals = gather(&machine, d);
-                                machine.charge_op(Category::Branch);
-                                if cond.eval(vals[0], vals[1]) {
-                                    next_pc = target;
-                                }
-                            }
-                            DecodedOp::Jump { target } => {
-                                machine.charge_op(Category::Jump);
-                                next_pc = target;
-                            }
-                            DecodedOp::Rec { key } => {
-                                let vals = gather(&machine, d);
-                                machine.charge_op(Category::Rec);
-                                machine.account.record_event(UarchEvent::HistWrite, 0.0);
-                                if !hist.write(key, vals) {
-                                    failed_keys.insert(key);
-                                }
-                            }
-                            DecodedOp::Rcmp { offset, slice } => {
-                                let vals = gather(&machine, d);
-                                machine.charge_op(Category::Rcmp);
-                                let dst = d.dst.expect("RCMP has a dst");
-                                let addr = vals[0].wrapping_add(offset as u64);
-                                let level = machine.hierarchy.peek_data(addr * 8);
-                                let meta = program.slice(slice);
-                                retired += 1; // the RCMP decision itself retires work
-
-                                let forced = meta.compute_len() > sfile.capacity()
-                                    || slice_keys[slice.index()]
-                                        .iter()
-                                        .any(|k| failed_keys.contains(k));
-                                let fire = !forced
-                                    && self.decide(
-                                        program,
-                                        ipc,
-                                        slice,
-                                        level,
-                                        &mut machine,
-                                        &mut predictor,
-                                    );
-
-                                if fire {
-                                    match self.traverse(
-                                        program,
-                                        decoded,
-                                        slice,
-                                        &mut machine,
-                                        &mut sfile,
-                                        &mut renamer,
-                                        &mut hist,
-                                        &mut ibuff,
-                                        &mut stats,
-                                    ) {
-                                        Traversal::Done(value) => {
-                                            retired += meta.len as u64;
-                                            stats.record_decision(slice.index(), true, level);
-                                            if self.config.check_values
-                                                && value != machine.peek_mem(addr)
-                                            {
-                                                return Err(AmnesicError::ValueMismatch {
-                                                    pc: ipc,
-                                                    slice: slice.0,
-                                                    expected: machine.peek_mem(addr),
-                                                    got: value,
-                                                });
-                                            }
-                                            machine.set_reg(dst, value);
-                                        }
-                                        Traversal::MissingHist | Traversal::SFileOverflow => {
-                                            stats.per_slice[slice.index()].forced_loads += 1;
-                                            stats.performed_levels.record(level);
-                                            let (value, _) = machine.load_word(addr);
-                                            machine.set_reg(dst, value);
-                                            loads += 1;
-                                        }
-                                    }
-                                } else {
-                                    if forced {
-                                        stats.per_slice[slice.index()].forced_loads += 1;
-                                        stats.performed_levels.record(level);
-                                    } else {
-                                        stats.record_decision(slice.index(), false, level);
-                                    }
-                                    let (value, _) = machine.load_word(addr);
-                                    machine.set_reg(dst, value);
-                                    loads += 1;
-                                }
-                            }
-                            DecodedOp::Rtn => {
-                                return Err(RunError::UnexpectedInstruction {
-                                    pc: ipc,
-                                    what: program.instructions[ipc].to_string(),
-                                }
-                                .into());
-                            }
-                            _ => step_compute(&mut machine, d),
-                        }
-                    }
-                    Some(Fusion::CmpBranch) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        step_compute(&mut machine, a);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max }.into());
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        let DecodedOp::Branch { cond, target } = b.op else {
-                            unreachable!("CmpBranch second half is a branch");
-                        };
-                        let vals = gather(&machine, b);
-                        machine.charge_op(Category::Branch);
-                        if cond.eval(vals[0], vals[1]) {
-                            next_pc = target;
-                        }
-                    }
-                    Some(Fusion::LoadAlu) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        let DecodedOp::Load { offset } = a.op else {
-                            unreachable!("LoadAlu first half is a load");
-                        };
-                        step_load(&mut machine, a, offset);
-                        loads += 1;
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max }.into());
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        step_compute(&mut machine, b);
-                    }
-                    Some(Fusion::AluiStore) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        step_compute(&mut machine, a);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max }.into());
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        let DecodedOp::Store { offset } = b.op else {
-                            unreachable!("AluiStore second half is a store");
-                        };
-                        step_store(&mut machine, b, offset);
-                        stores += 1;
-                    }
-                    Some(Fusion::LiAlu) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        step_compute(&mut machine, a);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max }.into());
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        step_compute(&mut machine, b);
-                    }
-                }
-            }
-            pc = next_pc;
+impl<'a> AmnesicHooks<'a> {
+    /// Fresh machine and structures for `program`; `decoded` is its
+    /// predecoded stream (slice bodies included).
+    pub fn new(
+        config: &'a AmnesicConfig,
+        program: &'a Program,
+        decoded: &'a [DecodedInst],
+    ) -> Self {
+        AmnesicHooks {
+            config,
+            program,
+            decoded,
+            machine: Machine::new(&config.core, program),
+            sfile: SFile::new(config.sfile_capacity),
+            renamer: Renamer::new(),
+            hist: Hist::new(config.hist_capacity),
+            ibuff: IBuff::new(config.ibuff_capacity),
+            predictor: MissPredictor::new(),
+            stats: AmnesicStats {
+                per_slice: vec![SliceRuntimeStats::default(); program.slices.len()],
+                ..AmnesicStats::default()
+            },
+            failed_keys: HashSet::new(),
+            slice_keys: program.slices.iter().map(|m| m.hist_keys()).collect(),
         }
+    }
 
-        Ok(finish_run(
-            program, machine, &sfile, &hist, &ibuff, &renamer, &predictor, stats, retired, loads,
-            stores,
-        ))
+    /// Assembles the run result from the engine's counts and drains the
+    /// structure counters into the stats.
+    pub fn finish(self, counts: Counts) -> AmnesicRunResult {
+        let mut stats = self.stats;
+        stats.sfile_high_water = self.sfile.high_water();
+        stats.hist_high_water = self.hist.high_water();
+        stats.ibuff_high_water = self.ibuff.high_water();
+        stats.ibuff_hits = self.ibuff.hits();
+        stats.ibuff_misses = self.ibuff.misses();
+        stats.hist_reads = self.hist.reads();
+        stats.hist_failed_writes = self.hist.failed_writes();
+        stats.rename_requests = self.renamer.requests();
+        stats.predictions = self.predictor.predictions();
+        stats.mispredictions = self.predictor.mispredictions();
+
+        AmnesicRunResult {
+            run: self.machine.into_result(self.program, counts),
+            stats,
+        }
     }
 
     /// Resolves the `RCMP` branching condition (§3.3.1), charging any
     /// probing overhead to the machine when recomputation fires.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        &self,
-        program: &Program,
-        pc: usize,
-        slice: SliceId,
-        level: ServiceLevel,
-        machine: &mut Machine,
-        predictor: &mut MissPredictor,
-    ) -> bool {
+    fn decide(&mut self, pc: usize, slice: SliceId, level: ServiceLevel) -> bool {
+        let machine = &mut self.machine;
         let energy = &machine.energy;
         match self.config.policy {
             Policy::Compiler => true,
@@ -606,131 +270,48 @@ impl AmnesicCore {
                 }
             }
             Policy::Oracle => {
-                let meta = program.slice(slice);
+                let meta = self.program.slice(slice);
                 meta.est_recompute_nj < energy.load_energy(level)
             }
             Policy::Predictor => {
                 // no probe: the prediction is free; training uses the true
                 // outcome (available to the model, as a real predictor
                 // would learn it from the eventual fill/hit signal)
-                let fire = predictor.predict_miss(pc);
-                predictor.train(pc, level != ServiceLevel::L1);
+                let fire = self.predictor.predict_miss(pc);
+                self.predictor.train(pc, level != ServiceLevel::L1);
                 fire
             }
         }
     }
 
-    /// Traverses a slice: instruction supply via `IBuff`/L1-I, operands via
-    /// `SFile`/register file/`Hist`, results into `SFile`; exceptions are
-    /// deferred (§2.3). Returns the recomputed root value.
-    #[allow(clippy::too_many_arguments)]
-    fn traverse(
-        &self,
-        program: &Program,
-        decoded: &[DecodedInst],
-        slice: SliceId,
-        machine: &mut Machine,
-        sfile: &mut SFile,
-        renamer: &mut Renamer,
-        hist: &mut Hist,
-        ibuff: &mut IBuff,
-        stats: &mut AmnesicStats,
-    ) -> Traversal {
+    /// Traverses a slice: instruction supply via `IBuff`/L1-I, then the
+    /// body via [`AmnesicHooks::recompute`], then `RTN`. Returns the
+    /// recomputed root value, or `None` when the traversal was abandoned
+    /// and the `RCMP` must perform its load instead.
+    fn traverse(&mut self, slice: SliceId) -> Option<u64> {
+        let program = self.program;
         let meta = program.slice(slice);
         let body_len = meta.compute_len();
-        let energy = machine.energy.clone();
+        let machine = &mut self.machine;
         let cycles_before = machine.account.cycles();
 
         // instruction supply: IBuff hit avoids all L1-I traffic
-        let resident = ibuff.access(slice, body_len);
-        if resident {
+        if self.ibuff.access(slice, body_len) {
+            let nj = machine.energy.ibuff_read_nj;
             for _ in 0..body_len {
-                machine
-                    .account
-                    .record_event(UarchEvent::IBuffRead, energy.ibuff_read_nj);
+                machine.account.record_event(UarchEvent::IBuffRead, nj);
             }
         } else {
             for k in 0..body_len {
                 machine.fetch(meta.entry + k);
             }
-            machine
-                .account
-                .record_event(UarchEvent::IBuffFill, energy.ibuff_fill_nj);
+            let nj = machine.energy.ibuff_fill_nj;
+            machine.account.record_event(UarchEvent::IBuffFill, nj);
         }
 
-        let mut outcome = None;
-        let mut last_value = 0u64;
-        for k in 0..body_len {
-            let d = &decoded[meta.entry + k];
-            let plan = &meta.plans[k];
-            let regs_of = &d.srcs;
-            let mut vals = [0u64; 3];
-            let mut hist_entry: Option<(u16, [u64; 3])> = None;
-            let mut ok = true;
-            for j in 0..3 {
-                let Some(source) = plan.sources[j] else {
-                    continue;
-                };
-                vals[j] = match source {
-                    OperandSource::SFile { producer } => {
-                        let slot = renamer.resolve(producer as usize);
-                        machine
-                            .account
-                            .record_event(UarchEvent::SFileAccess, energy.sfile_nj);
-                        sfile.read(slot)
-                    }
-                    OperandSource::LiveReg => {
-                        machine.reg(regs_of[j].expect("planned operand exists"))
-                    }
-                    OperandSource::Hist { key } => {
-                        machine
-                            .account
-                            .record_event(UarchEvent::HistRead, energy.hist_read_nj);
-                        let entry = match hist_entry {
-                            Some((k, e)) if k == key => Some(e),
-                            _ => {
-                                machine.account.add_cycles(energy.hist_cycles);
-                                hist.read(key)
-                            }
-                        };
-                        match entry {
-                            Some(e) => {
-                                hist_entry = Some((key, e));
-                                e[j]
-                            }
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                };
-            }
-            if !ok {
-                outcome = Some(Traversal::MissingHist);
-                break;
-            }
-            if let Some(kind) = decoded_exception(d, vals) {
-                stats.deferred_exceptions.push(DeferredException {
-                    slice: slice.0,
-                    slice_inst: k as u16,
-                    kind,
-                });
-            }
-            let value = d.eval_compute(vals);
-            machine.charge_op(d.category);
-            stats.recompute_insts += 1;
-            let Some(slot) = sfile.alloc_write(value) else {
-                outcome = Some(Traversal::SFileOverflow);
-                break;
-            };
-            machine
-                .account
-                .record_event(UarchEvent::SFileAccess, energy.sfile_nj);
-            renamer.bind(k, slot);
-            last_value = value;
-        }
+        let value = self.recompute(slice, meta);
 
+        let machine = &mut self.machine;
         machine.charge_op(Category::Rtn);
         if self.config.offload {
             // footnote 4: a helper core hides the traversal latency; only
@@ -738,89 +319,167 @@ impl AmnesicCore {
             let spent = machine.account.cycles() - cycles_before;
             machine.account.add_cycles_saved(spent);
         }
-        sfile.release_all();
-        renamer.clear();
-        outcome.unwrap_or(Traversal::Done(last_value))
+        self.sfile.release_all();
+        self.renamer.clear();
+        value
     }
-}
 
-/// Reads a decoded instruction's source operand values from the register
-/// file, in source-position order (unused positions are 0).
-#[inline(always)]
-fn gather(machine: &Machine, d: &DecodedInst) -> [u64; 3] {
-    let mut vals = [0u64; 3];
-    for (j, s) in d.srcs.iter().enumerate() {
-        if let Some(r) = s {
-            vals[j] = machine.reg(*r);
+    /// Executes a slice body: operands via `SFile`/register file/`Hist`,
+    /// results into `SFile`; exceptions are deferred (§2.3). Returns the
+    /// root value, or `None` on a missing `Hist` entry, a full `SFile`, or a
+    /// planned register operand the instruction does not have.
+    fn recompute(&mut self, slice: SliceId, meta: &SliceMeta) -> Option<u64> {
+        let machine = &mut self.machine;
+        let energy = &machine.energy;
+        let (sfile_nj, hist_read_nj, hist_cycles) =
+            (energy.sfile_nj, energy.hist_read_nj, energy.hist_cycles);
+        let mut root = 0u64;
+        for k in 0..meta.compute_len() {
+            let d = &self.decoded[meta.entry + k];
+            let plan = &meta.plans[k];
+            let mut vals = [0u64; 3];
+            let mut hist_entry: Option<(u16, [u64; 3])> = None;
+            for (j, (val, source)) in vals.iter_mut().zip(plan.sources).enumerate() {
+                let Some(source) = source else {
+                    continue;
+                };
+                *val = match source {
+                    OperandSource::SFile { producer } => {
+                        let slot = self.renamer.resolve(producer as usize);
+                        machine
+                            .account
+                            .record_event(UarchEvent::SFileAccess, sfile_nj);
+                        self.sfile.read(slot)
+                    }
+                    OperandSource::LiveReg => machine.reg(d.srcs[j]?),
+                    OperandSource::Hist { key } => {
+                        machine
+                            .account
+                            .record_event(UarchEvent::HistRead, hist_read_nj);
+                        let entry = match hist_entry {
+                            Some((k, e)) if k == key => e,
+                            _ => {
+                                machine.account.add_cycles(hist_cycles);
+                                self.hist.read(key)?
+                            }
+                        };
+                        hist_entry = Some((key, entry));
+                        entry[j]
+                    }
+                };
+            }
+            if let Some(kind) = decoded_exception(d, vals) {
+                self.stats.deferred_exceptions.push(DeferredException {
+                    slice: slice.0,
+                    slice_inst: k as u16,
+                    kind,
+                });
+            }
+            let value = d.eval_compute(vals);
+            machine.charge_op(d.category);
+            self.stats.recompute_insts += 1;
+            let slot = self.sfile.alloc_write(value)?;
+            machine
+                .account
+                .record_event(UarchEvent::SFileAccess, sfile_nj);
+            self.renamer.bind(k, slot);
+            root = value;
         }
+        Some(root)
     }
-    vals
 }
 
-/// Retires one compute instruction (gather → evaluate → write-back →
-/// charge), the oracle's exact order.
-#[inline(always)]
-fn step_compute(machine: &mut Machine, d: &DecodedInst) {
-    let vals = gather(machine, d);
-    let value = d.eval_compute(vals);
-    machine.set_reg(d.dst.expect("compute has dst"), value);
-    machine.charge_op(d.category);
-}
+impl Hooks for AmnesicHooks<'_> {
+    type Error = AmnesicError;
 
-/// Retires one load.
-#[inline(always)]
-fn step_load(machine: &mut Machine, d: &DecodedInst, offset: i64) {
-    let vals = gather(machine, d);
-    let addr = vals[0].wrapping_add(offset as u64);
-    let (value, _) = machine.load_word(addr);
-    machine.set_reg(d.dst.expect("loads have a dst"), value);
-}
+    #[inline(always)]
+    fn regs(&mut self) -> &mut [u64; NUM_REGS] {
+        &mut self.machine.regs
+    }
 
-/// Retires one store.
-#[inline(always)]
-fn step_store(machine: &mut Machine, d: &DecodedInst, offset: i64) {
-    let vals = gather(machine, d);
-    let addr = vals[1].wrapping_add(offset as u64);
-    machine.store_word(addr, vals[0]);
-}
+    #[inline(always)]
+    fn fetch(&mut self, pc: usize) {
+        self.machine.fetch(pc);
+    }
 
-/// Assembles the run result and drains structure counters into the stats —
-/// shared by both dispatch paths so they report identically.
-#[allow(clippy::too_many_arguments)]
-fn finish_run(
-    program: &Program,
-    machine: Machine,
-    sfile: &SFile,
-    hist: &Hist,
-    ibuff: &IBuff,
-    renamer: &Renamer,
-    predictor: &MissPredictor,
-    mut stats: AmnesicStats,
-    retired: u64,
-    loads: u64,
-    stores: u64,
-) -> AmnesicRunResult {
-    stats.sfile_high_water = sfile.high_water();
-    stats.hist_high_water = hist.high_water();
-    stats.ibuff_high_water = ibuff.high_water();
-    stats.ibuff_hits = ibuff.hits();
-    stats.ibuff_misses = ibuff.misses();
-    stats.hist_reads = hist.reads();
-    stats.hist_failed_writes = hist.failed_writes();
-    stats.rename_requests = renamer.requests();
-    stats.predictions = predictor.predictions();
-    stats.mispredictions = predictor.mispredictions();
+    #[inline(always)]
+    fn compute(&mut self, _pc: usize, category: Category, _srcs: [u64; 3], _value: u64) {
+        self.machine.charge_op(category);
+    }
 
-    AmnesicRunResult {
-        run: RunResult {
-            final_memory: machine.extract_output(program),
-            hierarchy: machine.hierarchy.stats().clone(),
-            account: machine.account,
-            instructions: retired,
-            loads,
-            stores,
-        },
-        stats,
+    #[inline(always)]
+    fn load(&mut self, _pc: usize, _srcs: [u64; 3], addr: u64) -> u64 {
+        self.machine.load_word(addr).0
+    }
+
+    #[inline(always)]
+    fn store(&mut self, _pc: usize, srcs: [u64; 3], addr: u64) {
+        self.machine.store_word(addr, srcs[0]);
+    }
+
+    #[inline(always)]
+    fn control(&mut self, _pc: usize, category: Category, _srcs: [u64; 3]) {
+        self.machine.charge_op(category);
+    }
+
+    /// Checkpoints the origin's source operand values (§3.1.2).
+    fn rec(&mut self, _pc: usize, key: u16, srcs: [u64; 3]) -> Result<(), AmnesicError> {
+        self.machine.charge_op(Category::Rec);
+        self.machine
+            .account
+            .record_event(UarchEvent::HistWrite, 0.0);
+        if !self.hist.write(key, srcs) {
+            self.failed_keys.insert(key);
+        }
+        Ok(())
+    }
+
+    fn rcmp(&mut self, pc: usize, slice: SliceId, addr: u64) -> Result<RcmpRetire, AmnesicError> {
+        self.machine.charge_op(Category::Rcmp);
+        let level = self.machine.hierarchy.peek_data(addr * 8);
+        let program = self.program;
+        let meta = program.slice(slice);
+        let idx = slice.index();
+
+        let forced = meta.compute_len() > self.sfile.capacity()
+            || self.slice_keys[idx]
+                .iter()
+                .any(|k| self.failed_keys.contains(k));
+        let fire = !forced && self.decide(pc, slice, level);
+        if fire {
+            if let Some(value) = self.traverse(slice) {
+                self.stats.record_decision(idx, true, level);
+                if self.config.check_values {
+                    let expected = self.machine.peek_mem(addr);
+                    if value != expected {
+                        return Err(AmnesicError::ValueMismatch {
+                            pc,
+                            slice: slice.0,
+                            expected,
+                            got: value,
+                        });
+                    }
+                }
+                // the decision itself plus the slice body retire work
+                return Ok(RcmpRetire {
+                    value,
+                    extra_retired: 1 + meta.len as u64,
+                    loaded: false,
+                });
+            }
+        }
+        if fire || forced {
+            self.stats.per_slice[idx].forced_loads += 1;
+            self.stats.performed_levels.record(level);
+        } else {
+            self.stats.record_decision(idx, false, level);
+        }
+        let (value, _) = self.machine.load_word(addr);
+        Ok(RcmpRetire {
+            value,
+            extra_retired: 1,
+            loaded: true,
+        })
     }
 }
 
@@ -1108,5 +767,73 @@ mod tests {
             "loops retraverse the same slice"
         );
         assert!(result.stats.ibuff_misses >= 1, "first traversal misses");
+    }
+
+    /// An unvalidated binary whose slice plan reads a live register for an
+    /// operand its instruction does not have: `li` has no sources.
+    fn absent_live_operand() -> Program {
+        use amnesiac_isa::{Instruction, OperandPlan, SliceMeta};
+        let cell = amnesiac_isa::DATA_BASE;
+        let mut p = Program::new("absent-operand");
+        p.instructions = vec![
+            Instruction::Li {
+                dst: Reg(1),
+                imm: cell,
+            },
+            Instruction::Rcmp {
+                dst: Reg(2),
+                base: Reg(1),
+                offset: 0,
+                slice: SliceId(0),
+            },
+            Instruction::Store {
+                src: Reg(2),
+                base: Reg(1),
+                offset: 1,
+            },
+            Instruction::Halt,
+            // slice 0: li r3, 7 ; rtn
+            Instruction::Li {
+                dst: Reg(3),
+                imm: 7,
+            },
+            Instruction::Rtn { slice: SliceId(0) },
+        ];
+        p.code_len = 4;
+        p.data.set(cell, 7);
+        p.output.push(amnesiac_isa::MemRange::new(cell + 1, 1));
+        p.slices.push(SliceMeta {
+            id: SliceId(0),
+            rcmp_pc: 1,
+            entry: 4,
+            len: 2,
+            root_reg: Reg(3),
+            plans: vec![OperandPlan {
+                sources: [Some(OperandSource::LiveReg), None, None],
+            }],
+            leaves: Vec::new(),
+            has_nonrecomputable: false,
+            est_recompute_nj: 0.0,
+            est_load_nj: 0.0,
+            height: 0,
+        });
+        p
+    }
+
+    #[test]
+    fn absent_planned_operand_takes_the_missing_operand_outcome() {
+        let p = absent_live_operand();
+        let result = AmnesicCore::new(amnesic_config(Policy::Compiler))
+            .run(&p)
+            .unwrap();
+        assert_eq!(result.stats.per_slice[0].forced_loads, 1, "a forced load");
+        assert_eq!(result.stats.fired_total(), 0);
+        assert_eq!(result.run.loads, 1);
+        assert_eq!(result.run.final_memory.values().next(), Some(&7));
+
+        let replay = amnesiac_compiler::replay_validate(&p, 1_000).unwrap();
+        assert_eq!(replay.per_slice[0].fired, 1);
+        assert_eq!(replay.per_slice[0].missing_hist, 1);
+        assert_eq!(replay.output.values().next(), Some(&7));
     }
 }

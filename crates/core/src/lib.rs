@@ -36,7 +36,7 @@ mod predictor;
 mod stats;
 mod structures;
 
-pub use executor::{AmnesicConfig, AmnesicCore, AmnesicError, AmnesicRunResult};
+pub use executor::{AmnesicConfig, AmnesicCore, AmnesicError, AmnesicHooks, AmnesicRunResult};
 pub use policy::Policy;
 pub use predictor::MissPredictor;
 pub use stats::{AmnesicStats, DeferredException, SliceRuntimeStats};

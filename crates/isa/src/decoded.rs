@@ -22,23 +22,31 @@ use crate::{Reg, MAX_SRC_OPERANDS};
 
 /// Pre-resolved operation payload of a [`DecodedInst`].
 ///
-/// Mirrors [`Instruction`] with register operands factored out into
-/// [`DecodedInst::srcs`]/[`DecodedInst::dst`] so the hot interpreter arms
-/// only carry what they consume: immediates, offsets, and targets.
+/// Mirrors [`Instruction`] with register sources factored out into
+/// [`DecodedInst::srcs`], so the hot interpreter arms only carry what they
+/// consume: the destination, immediates, offsets, and targets. Every
+/// variant that writes a register carries its `dst`, so a destination is
+/// present by construction rather than checked at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodedOp {
     /// Immediate move; the value to write.
     Li {
+        /// Destination register.
+        dst: Reg,
         /// The immediate.
         imm: u64,
     },
     /// Register-register integer ALU operation.
     Alu {
+        /// Destination register.
+        dst: Reg,
         /// The operation.
         op: AluOp,
     },
     /// Register-immediate integer ALU operation.
     Alui {
+        /// Destination register.
+        dst: Reg,
         /// The operation.
         op: AluOp,
         /// The immediate right-hand operand.
@@ -46,23 +54,34 @@ pub enum DecodedOp {
     },
     /// Register-register binary FP operation.
     Fpu {
+        /// Destination register.
+        dst: Reg,
         /// The operation.
         op: FpOp,
     },
     /// Unary FP operation.
     FpuUn {
+        /// Destination register.
+        dst: Reg,
         /// The operation.
         op: FpUnOp,
     },
     /// Fused multiply-add.
-    Fma,
+    Fma {
+        /// Destination register.
+        dst: Reg,
+    },
     /// Int/FP conversion.
     Cvt {
+        /// Destination register.
+        dst: Reg,
         /// The conversion.
         kind: CvtKind,
     },
     /// Memory load; effective address is `srcs[0] + offset`.
     Load {
+        /// Destination register.
+        dst: Reg,
         /// Word offset added to the base register.
         offset: i64,
     },
@@ -87,6 +106,8 @@ pub enum DecodedOp {
     Halt,
     /// Amnesic fused branch+load; effective address is `srcs[0] + offset`.
     Rcmp {
+        /// Destination register.
+        dst: Reg,
         /// Word offset added to the base register.
         offset: i64,
         /// The associated recomputation slice.
@@ -108,12 +129,10 @@ pub enum DecodedOp {
 /// workload generators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedInst {
-    /// The operation and its non-register payload.
+    /// The operation, its destination, and its non-register payload.
     pub op: DecodedOp,
     /// Pre-resolved register sources, identical to [`Instruction::srcs`].
     pub srcs: [Option<Reg>; MAX_SRC_OPERANDS],
-    /// Pre-resolved destination, identical to [`Instruction::dst`].
-    pub dst: Option<Reg>,
     /// Pre-resolved energy category, identical to [`Instruction::category`].
     pub category: Category,
 }
@@ -122,27 +141,46 @@ impl DecodedInst {
     /// Lowers a single instruction.
     pub fn from_inst(inst: &Instruction) -> DecodedInst {
         let op = match *inst {
-            Instruction::Li { imm, .. } => DecodedOp::Li { imm },
-            Instruction::Alu { op, .. } => DecodedOp::Alu { op },
-            Instruction::Alui { op, imm, .. } => DecodedOp::Alui { op, imm },
-            Instruction::Fpu { op, .. } => DecodedOp::Fpu { op },
-            Instruction::FpuUn { op, .. } => DecodedOp::FpuUn { op },
-            Instruction::Fma { .. } => DecodedOp::Fma,
-            Instruction::Cvt { kind, .. } => DecodedOp::Cvt { kind },
-            Instruction::Load { offset, .. } => DecodedOp::Load { offset },
+            Instruction::Li { dst, imm } => DecodedOp::Li { dst, imm },
+            Instruction::Alu { op, dst, .. } => DecodedOp::Alu { dst, op },
+            Instruction::Alui { op, dst, imm, .. } => DecodedOp::Alui { dst, op, imm },
+            Instruction::Fpu { op, dst, .. } => DecodedOp::Fpu { dst, op },
+            Instruction::FpuUn { op, dst, .. } => DecodedOp::FpuUn { dst, op },
+            Instruction::Fma { dst, .. } => DecodedOp::Fma { dst },
+            Instruction::Cvt { kind, dst, .. } => DecodedOp::Cvt { dst, kind },
+            Instruction::Load { dst, offset, .. } => DecodedOp::Load { dst, offset },
             Instruction::Store { offset, .. } => DecodedOp::Store { offset },
             Instruction::Branch { cond, target, .. } => DecodedOp::Branch { cond, target },
             Instruction::Jump { target } => DecodedOp::Jump { target },
             Instruction::Halt => DecodedOp::Halt,
-            Instruction::Rcmp { offset, slice, .. } => DecodedOp::Rcmp { offset, slice },
+            Instruction::Rcmp {
+                dst, offset, slice, ..
+            } => DecodedOp::Rcmp { dst, offset, slice },
             Instruction::Rtn { .. } => DecodedOp::Rtn,
             Instruction::Rec { key, .. } => DecodedOp::Rec { key },
         };
         DecodedInst {
             op,
             srcs: inst.srcs(),
-            dst: inst.dst(),
             category: inst.category(),
+        }
+    }
+
+    /// The destination register, identical to [`Instruction::dst`]: present
+    /// on exactly the variants that carry one.
+    #[inline]
+    pub fn dst(&self) -> Option<Reg> {
+        match self.op {
+            DecodedOp::Li { dst, .. }
+            | DecodedOp::Alu { dst, .. }
+            | DecodedOp::Alui { dst, .. }
+            | DecodedOp::Fpu { dst, .. }
+            | DecodedOp::FpuUn { dst, .. }
+            | DecodedOp::Fma { dst }
+            | DecodedOp::Cvt { dst, .. }
+            | DecodedOp::Load { dst, .. }
+            | DecodedOp::Rcmp { dst, .. } => Some(dst),
+            _ => None,
         }
     }
 
@@ -155,19 +193,30 @@ impl DecodedInst {
     /// Panics if this is not a compute instruction.
     #[inline]
     pub fn eval_compute(&self, srcs: [u64; 3]) -> u64 {
+        self.compute(srcs).1
+    }
+
+    /// Evaluates a compute instruction like [`DecodedInst::eval_compute`]
+    /// and also returns the register it writes, resolving both in one match.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this is not a compute instruction.
+    #[inline]
+    pub fn compute(&self, srcs: [u64; 3]) -> (Reg, u64) {
         match self.op {
-            DecodedOp::Li { imm } => imm,
-            DecodedOp::Alu { op } => op.apply(srcs[0], srcs[1]),
-            DecodedOp::Alui { op, imm } => op.apply(srcs[0], imm),
-            DecodedOp::Fpu { op } => op.apply(srcs[0], srcs[1]),
-            DecodedOp::FpuUn { op } => op.apply(srcs[0]),
-            DecodedOp::Fma => {
+            DecodedOp::Li { dst, imm } => (dst, imm),
+            DecodedOp::Alu { dst, op } => (dst, op.apply(srcs[0], srcs[1])),
+            DecodedOp::Alui { dst, op, imm } => (dst, op.apply(srcs[0], imm)),
+            DecodedOp::Fpu { dst, op } => (dst, op.apply(srcs[0], srcs[1])),
+            DecodedOp::FpuUn { dst, op } => (dst, op.apply(srcs[0])),
+            DecodedOp::Fma { dst } => {
                 let a = f64::from_bits(srcs[0]);
                 let b = f64::from_bits(srcs[1]);
                 let c = f64::from_bits(srcs[2]);
-                a.mul_add(b, c).to_bits()
+                (dst, a.mul_add(b, c).to_bits())
             }
-            DecodedOp::Cvt { kind } => kind.apply(srcs[0]),
+            DecodedOp::Cvt { dst, kind } => (dst, kind.apply(srcs[0])),
             ref other => panic!("eval_compute on non-compute instruction {other:?}"),
         }
     }
@@ -217,11 +266,22 @@ mod tests {
                 key: 9,
                 srcs: [Some(Reg(1)), None, Some(Reg(2))],
             },
+            Instruction::Load {
+                dst: Reg(6),
+                base: Reg(1),
+                offset: 4,
+            },
+            Instruction::Fma {
+                dst: Reg(7),
+                a: Reg(1),
+                b: Reg(2),
+                c: Reg(3),
+            },
         ];
         for inst in &insts {
             let d = DecodedInst::from_inst(inst);
             assert_eq!(d.srcs, inst.srcs(), "{inst:?}");
-            assert_eq!(d.dst, inst.dst(), "{inst:?}");
+            assert_eq!(d.dst(), inst.dst(), "{inst:?}");
             assert_eq!(d.category, inst.category(), "{inst:?}");
         }
         assert_eq!(
@@ -234,10 +294,38 @@ mod tests {
         assert_eq!(
             DecodedInst::from_inst(&insts[3]).op,
             DecodedOp::Rcmp {
+                dst: Reg(3),
                 offset: -2,
                 slice: SliceId(5)
             }
         );
+        assert_eq!(
+            DecodedInst::from_inst(&insts[0]).op,
+            DecodedOp::Li {
+                dst: Reg(1),
+                imm: 42
+            }
+        );
+        assert_eq!(
+            DecodedInst::from_inst(&insts[1]).op,
+            DecodedOp::Alui {
+                dst: Reg(2),
+                op: AluOp::Mul,
+                imm: 3
+            }
+        );
+        assert_eq!(
+            DecodedInst::from_inst(&insts[5]).op,
+            DecodedOp::Load {
+                dst: Reg(6),
+                offset: 4
+            }
+        );
+        assert_eq!(
+            DecodedInst::from_inst(&insts[6]).op,
+            DecodedOp::Fma { dst: Reg(7) }
+        );
+        assert_eq!(DecodedInst::from_inst(&insts[4]).dst(), None);
     }
 
     #[test]

@@ -80,12 +80,14 @@ pub fn decoded_exception(inst: &DecodedInst, srcs: [u64; 3]) -> Option<Exception
     match inst.op {
         DecodedOp::Alu {
             op: AluOp::Div | AluOp::Rem,
+            ..
         } if srcs[1] == 0 => Some(ExceptionKind::DivideByZero),
         DecodedOp::Alui {
             op: AluOp::Div | AluOp::Rem,
             imm: 0,
+            ..
         } => Some(ExceptionKind::DivideByZero),
-        DecodedOp::Fpu { .. } | DecodedOp::FpuUn { .. } | DecodedOp::Fma => {
+        DecodedOp::Fpu { .. } | DecodedOp::FpuUn { .. } | DecodedOp::Fma { .. } => {
             let out = f64::from_bits(inst.eval_compute(srcs));
             let in_nan = inst
                 .srcs

@@ -4,9 +4,11 @@
 //! # amnesiac-sim
 //!
 //! The in-order core simulator: functional execution plus timing and energy
-//! accounting for *classic* (non-amnesic) execution, and the shared machine
-//! state ([`Machine`]) and pure instruction semantics ([`eval_compute`])
-//! reused by the amnesic executor in `amnesiac-core`.
+//! accounting for *classic* (non-amnesic) execution, the shared machine
+//! state ([`Machine`]) and pure instruction semantics ([`eval_compute`]),
+//! and the one block-dispatch engine ([`run_blocks`]) that the classic core,
+//! the amnesic core in `amnesiac-core` and validation replay in
+//! `amnesiac-compiler` all run on through their [`Hooks`].
 //!
 //! The model matches the paper's Table 3 machine: a single in-order core at
 //! 1.09 GHz with L1-I/L1-D/L2/DRAM. Non-memory instructions take one cycle;
@@ -37,10 +39,13 @@
 //! ```
 
 mod classic;
+mod engine;
 mod eval;
 mod machine;
 
-pub use amnesiac_cfg::Dispatch;
-pub use classic::{ClassicCore, NullObserver, Observer, RetireEvent, RunResult, TraceWriter};
+pub use classic::{
+    ClassicCore, ClassicHooks, NullObserver, Observer, RetireEvent, RunResult, TraceWriter,
+};
+pub use engine::{run_blocks, Counts, Hooks, RcmpRetire};
 pub use eval::{compute_exception, decoded_exception, eval_compute, ExceptionKind};
 pub use machine::{CoreConfig, Machine, RunError};

@@ -3,10 +3,12 @@
 
 use std::collections::BTreeMap;
 
-use amnesiac_cfg::Dispatch;
 use amnesiac_energy::{EnergyAccount, EnergyModel, UarchEvent};
 use amnesiac_isa::{Category, Program, Reg, NUM_REGS};
 use amnesiac_mem::{Access, HierarchyConfig, MemoryHierarchy, PagedMem, ServiceLevel};
+
+use crate::classic::RunResult;
+use crate::engine::Counts;
 
 /// Bytes per data word and per instruction slot (for cache addressing).
 pub(crate) const WORD_BYTES: u64 = 8;
@@ -24,12 +26,6 @@ pub struct CoreConfig {
     pub energy: EnergyModel,
     /// Safety fuse: abort after this many dynamic instructions.
     pub max_instructions: u64,
-    /// Model instruction supply through L1-I (fill energy + stall cycles on
-    /// misses). Disable for pure-functional runs (e.g. profiling replays).
-    pub model_fetch: bool,
-    /// Dispatch granularity: block-level superinstruction execution
-    /// (default) or the instruction-level differential oracle.
-    pub dispatch: Dispatch,
 }
 
 impl CoreConfig {
@@ -39,8 +35,6 @@ impl CoreConfig {
             hierarchy: HierarchyConfig::paper(),
             energy: EnergyModel::paper(),
             max_instructions: 200_000_000,
-            model_fetch: true,
-            dispatch: Dispatch::Block,
         }
     }
 
@@ -88,6 +82,16 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+impl RunError {
+    /// [`RunError::UnexpectedInstruction`] for the instruction at `pc`.
+    pub fn unexpected(program: &Program, pc: usize) -> Self {
+        RunError::UnexpectedInstruction {
+            pc,
+            what: program.instructions[pc].to_string(),
+        }
+    }
+}
+
 /// Architectural + microarchitectural machine state.
 ///
 /// Data memory is a flat word-addressed image holding *values*; the cache
@@ -105,8 +109,6 @@ pub struct Machine {
     pub account: EnergyAccount,
     /// Energy/timing model.
     pub energy: EnergyModel,
-    /// Whether instruction supply is modelled.
-    pub model_fetch: bool,
 }
 
 impl Machine {
@@ -119,7 +121,6 @@ impl Machine {
             hierarchy: MemoryHierarchy::new(config.hierarchy),
             account: EnergyAccount::new(),
             energy: config.energy.clone(),
-            model_fetch: config.model_fetch,
         }
     }
 
@@ -190,9 +191,6 @@ impl Machine {
     /// Models instruction supply for the instruction at index `pc`: the
     /// fetch goes through L1-I; misses charge fill energy and stall cycles.
     pub fn fetch(&mut self, pc: usize) {
-        if !self.model_fetch {
-            return;
-        }
         let byte_addr = TEXT_BASE + pc as u64 * WORD_BYTES;
         let access = self.hierarchy.fetch_inst(byte_addr);
         match access.level {
@@ -211,6 +209,19 @@ impl Machine {
         for _ in 0..access.l2_writebacks {
             self.account
                 .record_event(UarchEvent::WritebackL2, self.energy.writeback_nj[1]);
+        }
+    }
+
+    /// The run's result: this machine's energy account, hierarchy stats
+    /// and output image, plus the engine's dynamic counts.
+    pub fn into_result(self, program: &Program, counts: Counts) -> RunResult {
+        RunResult {
+            final_memory: self.extract_output(program),
+            hierarchy: self.hierarchy.stats().clone(),
+            account: self.account,
+            instructions: counts.instructions,
+            loads: counts.loads,
+            stores: counts.stores,
         }
     }
 
@@ -291,19 +302,6 @@ mod tests {
         assert_eq!(m.account.event_count(UarchEvent::IFetchMem), 1);
         m.fetch(1); // same 64B line: 8 slots per line
         assert_eq!(m.account.cycles(), cold_cycles, "line hit adds no stall");
-    }
-
-    #[test]
-    fn fetch_disabled_is_free() {
-        let mut b = ProgramBuilder::new("t");
-        b.halt();
-        let p = b.finish().unwrap();
-        let mut config = CoreConfig::paper();
-        config.model_fetch = false;
-        let mut m = Machine::new(&config, &p);
-        m.fetch(0);
-        assert_eq!(m.account.cycles(), 0);
-        assert_eq!(m.account.total_nj(), 0.0);
     }
 
     #[test]

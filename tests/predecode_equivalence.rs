@@ -20,7 +20,7 @@ fn assert_agrees(program: &Program, what: &str) {
     );
     for (pc, (inst, d)) in program.instructions.iter().zip(&decoded).enumerate() {
         assert_eq!(d.srcs, inst.srcs(), "{what} pc {pc}: srcs disagree");
-        assert_eq!(d.dst, inst.dst(), "{what} pc {pc}: dst disagrees");
+        assert_eq!(d.dst(), inst.dst(), "{what} pc {pc}: dst disagrees");
         assert_eq!(
             d.category,
             inst.category(),
