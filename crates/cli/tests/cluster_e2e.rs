@@ -9,7 +9,7 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use amnesiac_serve::{ClientConfig, ClientPool, Request, Router, RouterConfig};
+use amnesiac_serve::{ClientConfig, Request, Router, RouterConfig};
 
 /// The built CLI binary — both the workers here and the children of the
 /// `cluster` verb run it.
@@ -68,14 +68,14 @@ fn router_speaks_v1_and_v2_over_real_worker_processes() {
     let (worker_b, addr_b) = spawn_worker();
     let router = Router::start(RouterConfig::default(), &[addr_a, addr_b]).unwrap();
 
-    let mut pool = ClientPool::builder(router.addr())
-        .lanes(2)
-        .config(connector())
-        .build()
-        .unwrap();
+    // Two connections: consecutive calls alternate between them.
+    let mut clients = [
+        connector().connect(router.addr()).unwrap(),
+        connector().connect(router.addr()).unwrap(),
+    ];
 
     // A v1 request round-trips byte-compatibly: ok payload, no meta.
-    let v1 = pool
+    let v1 = clients[0]
         .call(
             &Request::new("compile")
                 .with_target("bench:is")
@@ -87,7 +87,7 @@ fn router_speaks_v1_and_v2_over_real_worker_processes() {
 
     // A v2 request gets the routing envelope: key echo and per-hop
     // timings through the router to a worker.
-    let v2 = pool
+    let v2 = clients[1]
         .call(
             &Request::new("disasm")
                 .with_target("bench:cg")
@@ -104,7 +104,7 @@ fn router_speaks_v1_and_v2_over_real_worker_processes() {
     assert!(meta.hops.iter().any(|(n, _)| n.starts_with('w')));
 
     // The router's stats sweep aggregates both workers.
-    let stats = pool
+    let stats = clients[0]
         .call(&Request::new("stats").with_id("stats"))
         .unwrap()
         .result

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use amnesiac_cli::{execute, parse_args, run, serve_handler, Response};
-use amnesiac_serve::{code, Client, ClientPool, Request, Server, ServerConfig};
+use amnesiac_serve::{code, Client, ClientConfig, Request, Server, ServerConfig};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -37,18 +37,19 @@ fn socket_payload_equals_the_cli_json_artifact() {
         amnesiac_telemetry::parse(&std::fs::read_to_string(dir.join("compile.json")).unwrap())
             .unwrap();
 
-    // Wire side: the same verb over a pooled connection answers the same
-    // document (the pool round-robins its lanes, so the two calls below
-    // travel different connections and must still agree).
+    // Wire side: the same verb over the socket answers the same document
+    // (the two calls below travel different connections and must still
+    // agree).
     let server = start(2, 16, 120_000);
-    let mut pool = ClientPool::builder(server.addr())
-        .lanes(2)
+    let connector = ClientConfig::new()
         .attempts(3)
         .backoff(Duration::from_millis(5), Duration::from_millis(50))
-        .read_timeout(Some(Duration::from_secs(120)))
-        .build()
-        .unwrap();
-    let response = pool
+        .read_timeout(Some(Duration::from_secs(120)));
+    let mut clients = [
+        connector.connect(server.addr()).unwrap(),
+        connector.connect(server.addr()).unwrap(),
+    ];
+    let response = clients[0]
         .call(
             &Request::new("compile")
                 .with_target("bench:is")
@@ -64,7 +65,7 @@ fn socket_payload_equals_the_cli_json_artifact() {
     let on_disk =
         amnesiac_telemetry::parse(&std::fs::read_to_string(dir.join("verify.json")).unwrap())
             .unwrap();
-    let response = pool
+    let response = clients[1]
         .call(&Request::new("verify").with_target("bench:is").with_id(2u64))
         .unwrap();
     assert!(response.is_ok());

@@ -28,6 +28,13 @@
 //! # }
 //! ```
 //!
+//! The server and the cluster router share one connection front end
+//! (a private `front` module, generic over a role trait): the bind, the
+//! acceptor with its accept-error backoff and counters, per-connection
+//! reader and writer threads, line framing, request parsing, in-order
+//! responses, the v1/v2 envelope and shutdown. Each role adds only what
+//! it does with a request.
+//!
 //! See [`protocol`] for the wire schema and the stable error codes,
 //! [`server`] for the backpressure / deadline / shutdown semantics, and
 //! [`router`] for the sharded cluster topology (consistent-hash
@@ -35,13 +42,14 @@
 //! probes, and retry-once reroute).
 
 pub mod client;
+mod front;
 pub mod membership;
 pub mod protocol;
 pub mod ring;
 pub mod router;
 pub mod server;
 
-pub use client::{Client, ClientConfig, ClientPool, ClientPoolBuilder};
+pub use client::{Client, ClientConfig};
 pub use membership::{Membership, ProbeOutcome, WorkerInfo, WorkerState};
 pub use protocol::{code, Request, Response, RouteMeta, ServeError, WireVerb, PROTOCOL_VERSION};
 pub use ring::{Ring, WorkerId, REPLICAS};

@@ -5,12 +5,14 @@
 //! ## Topology
 //!
 //! Clients connect to the router exactly as they would to a single
-//! server — v1 clients round-trip unchanged. Each client connection
-//! gets a reader thread (parses requests, forwards them over per-worker
-//! "lanes") and a writer thread (resolves responses in request order).
-//! A lane is one TCP connection from this client connection to one
-//! worker; because both the lane and the worker deliver responses in
-//! request order, no id-matching is needed — ordering is the protocol.
+//! server — v1 clients round-trip unchanged: the router is the
+//! lane-backed role of the shared `front` end, so it accepts,
+//! frames, parses and answers in request order exactly as the server
+//! does. Its reader forwards each request over a per-worker "lane" and
+//! its writer resolves the lane's answer. A lane is one TCP connection
+//! from this client connection to one worker; because both the lane and
+//! the worker deliver responses in request order, no id-matching is
+//! needed — ordering is the protocol.
 //!
 //! ## Membership, probes, reroute
 //!
@@ -34,30 +36,38 @@
 //! forwarded.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io::{BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use amnesiac_telemetry::Json;
 
 use crate::client::ClientConfig;
+use crate::front::{
+    draining_error, lock, poll_line, Acceptor, Front, Line, Reply, Resolved, Role, Slot, READ_POLL,
+};
 use crate::membership::{Membership, WorkerState};
-use crate::protocol::{code, Request, Response, RouteMeta, ServeError, WireVerb, PROTOCOL_VERSION};
+use crate::protocol::{code, Request, Response, ServeError, WireVerb};
 use crate::ring::WorkerId;
-use crate::server::{fresh_server_id, wall_clock_ms};
-
-/// Poll interval for reader/lane sockets (bounds how long threads take
-/// to notice shutdown or a passed deadline).
-const READ_POLL: Duration = Duration::from_millis(25);
+use crate::server::VerbStats;
 
 /// Grace beyond a request's deadline before a silent worker is declared
 /// wedged. The worker itself answers a structured timeout *at* the
 /// deadline; only a worker that cannot even say "timeout" trips this.
 const RESPONSE_SLACK: Duration = Duration::from_millis(2_000);
+
+/// Pause between health-probe sweeps.
+const PROBE_INTERVAL: Duration = Duration::from_millis(250);
+
+/// Connect + read budget for one probe (and for one admin call).
+const PROBE_TIMEOUT: Duration = Duration::from_millis(2_000);
+
+/// Consecutive probe failures before an up worker is marked down.
+const PROBE_FAILURE_THRESHOLD: u32 = 2;
 
 /// Bound on placement attempts for one request inside a single
 /// [`forward`] call (each failed attempt marks a worker down, so the
@@ -74,12 +84,6 @@ pub struct RouterConfig {
     /// Default per-request deadline in milliseconds (overridable per
     /// request via `timeout_ms`), matching the server semantics.
     pub timeout_ms: u64,
-    /// Pause between health-probe sweeps.
-    pub probe_interval: Duration,
-    /// Connect + read budget for one probe.
-    pub probe_timeout: Duration,
-    /// Consecutive probe failures before an up worker is marked down.
-    pub probe_failure_threshold: u32,
 }
 
 impl Default for RouterConfig {
@@ -88,26 +92,13 @@ impl Default for RouterConfig {
             host: "127.0.0.1".to_string(),
             port: 0,
             timeout_ms: 30_000,
-            probe_interval: Duration::from_millis(250),
-            probe_timeout: Duration::from_millis(2_000),
-            probe_failure_threshold: 2,
         }
     }
 }
 
-/// See [`crate::server`]: recover a poisoned guard instead of turning
-/// one panic into a router outage.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 struct RouterShared {
-    addr: SocketAddr,
+    front: Front,
     timeout_ms: u64,
-    probe_interval: Duration,
-    probe_timeout: Duration,
-    probe_failure_threshold: u32,
-    shutdown: AtomicBool,
     membership: Mutex<Membership>,
     /// Last successful `stats` payload per worker (from probes and
     /// cluster-stats sweeps); kept for workers that later die.
@@ -116,31 +107,9 @@ struct RouterShared {
     rerouted: AtomicU64,
     unavailable: AtomicU64,
     probe_failures: AtomicU64,
-    open_connections: AtomicUsize,
-    router_id: String,
-    started: Instant,
-    started_at_ms: u64,
 }
 
 impl RouterShared {
-    fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // Wake the acceptor out of its blocking accept.
-            let _ = TcpStream::connect(self.addr);
-            // Drain the fleet: ask every live worker to shut down
-            // gracefully (best-effort; a dead worker is already gone).
-            let addrs: Vec<SocketAddr> = lock(&self.membership)
-                .workers()
-                .iter()
-                .filter(|w| w.state != WorkerState::Down)
-                .map(|w| w.addr)
-                .collect();
-            for addr in addrs {
-                let _ = send_admin(addr, "shutdown", self.probe_timeout);
-            }
-        }
-    }
-
     fn mark_worker_down(&self, id: WorkerId) {
         lock(&self.membership).mark_down(id);
     }
@@ -157,7 +126,7 @@ impl RouterShared {
                 .map(|w| (w.id, w.addr))
                 .collect();
             for (id, addr) in sweep {
-                if let Ok(stats) = probe_worker(addr, self.probe_timeout) {
+                if let Ok(stats) = probe_worker(addr) {
                     self.observe_worker_stats(id, stats);
                 }
             }
@@ -165,7 +134,7 @@ impl RouterShared {
         let membership = lock(&self.membership);
         let cache = lock(&self.worker_stats);
         // Aggregate per-verb counters across the live workers.
-        let mut verbs: BTreeMap<String, (f64, f64, f64, f64, f64, f64)> = BTreeMap::new();
+        let mut verbs: BTreeMap<String, VerbStats> = BTreeMap::new();
         let mut workers = Vec::new();
         for worker in membership.workers() {
             let stats = cache.get(&worker.id);
@@ -174,15 +143,7 @@ impl RouterShared {
                     stats.and_then(|s| s.get("verbs")).and_then(Json::as_obj)
                 {
                     for (verb, counters) in worker_verbs {
-                        let entry = verbs.entry(verb.clone()).or_default();
-                        let n =
-                            |field: &str| counters.get(field).and_then(Json::as_f64).unwrap_or(0.0);
-                        entry.0 += n("requests");
-                        entry.1 += n("ok");
-                        entry.2 += n("errors");
-                        entry.3 += n("timeouts");
-                        entry.4 += n("total_ms");
-                        entry.5 = entry.5.max(n("max_ms"));
+                        verbs.entry(verb.clone()).or_default().merge_json(counters);
                     }
                 }
             }
@@ -197,25 +158,9 @@ impl RouterShared {
             }
             workers.push(row);
         }
-        let mut verbs_json = Json::obj();
-        for (verb, (requests, ok, errors, timeouts, total_ms, max_ms)) in verbs {
-            verbs_json.set(
-                &verb,
-                Json::obj()
-                    .with("requests", requests)
-                    .with("ok", ok)
-                    .with("errors", errors)
-                    .with("timeouts", timeouts)
-                    .with("total_ms", total_ms)
-                    .with("max_ms", max_ms),
-            );
-        }
-        Json::obj()
-            .with("role", "router")
-            .with("protocol_version", PROTOCOL_VERSION)
-            .with("server_id", self.router_id.as_str())
-            .with("started_at_ms", self.started_at_ms)
-            .with("uptime_ms", self.started.elapsed().as_secs_f64() * 1e3)
+        let front = &self.front;
+        front
+            .identity(Json::obj().with("role", "router"))
             .with("timeout_ms", self.timeout_ms)
             .with("generation", membership.generation())
             .with("workers_up", membership.up_count())
@@ -227,12 +172,13 @@ impl RouterShared {
                 "probe_failures",
                 self.probe_failures.load(Ordering::Acquire),
             )
+            .with("accept_errors", front.accept_errors.load(Ordering::Acquire))
             .with(
                 "open_connections",
-                self.open_connections.load(Ordering::Acquire),
+                front.open_connections.load(Ordering::Acquire),
             )
-            .with("draining", self.shutdown.load(Ordering::SeqCst))
-            .with("verbs", verbs_json)
+            .with("draining", front.draining())
+            .with("verbs", VerbStats::verbs_json(&verbs))
             .with("workers", Json::Arr(workers))
     }
 
@@ -254,10 +200,10 @@ impl RouterShared {
 }
 
 /// One `stats` round-trip to a worker on a fresh short-lived connection.
-fn probe_worker(addr: SocketAddr, timeout: Duration) -> std::io::Result<Json> {
-    let timeout_ms = (timeout.as_millis() as u64).max(1);
+fn probe_worker(addr: SocketAddr) -> std::io::Result<Json> {
+    let timeout_ms = (PROBE_TIMEOUT.as_millis() as u64).max(1);
     let mut client = ClientConfig::new()
-        .read_timeout(Some(timeout))
+        .read_timeout(Some(PROBE_TIMEOUT))
         .connect(addr)?;
     let response = client.call(&Request::new("stats").with_timeout_ms(timeout_ms))?;
     response.result.map_err(|e| {
@@ -266,19 +212,12 @@ fn probe_worker(addr: SocketAddr, timeout: Duration) -> std::io::Result<Json> {
 }
 
 /// Fire-and-forget admin verb to a worker (used for drain/shutdown).
-fn send_admin(addr: SocketAddr, verb: &str, timeout: Duration) -> std::io::Result<()> {
+fn send_admin(addr: SocketAddr, verb: &str) -> std::io::Result<()> {
     let mut client = ClientConfig::new()
-        .read_timeout(Some(timeout))
+        .read_timeout(Some(PROBE_TIMEOUT))
         .connect(addr)?;
     let _ = client.call(&Request::new(verb))?;
     Ok(())
-}
-
-/// One forwarded request's completion slot, shared between the lane
-/// receiver resolving it and the connection writer waiting on it.
-struct RouterJob {
-    slot: Mutex<Option<LaneOutcome>>,
-    done: Condvar,
 }
 
 enum LaneOutcome {
@@ -295,43 +234,8 @@ enum LaneOutcome {
     TimedOut,
 }
 
-impl RouterJob {
-    fn new() -> RouterJob {
-        RouterJob {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, outcome: LaneOutcome) {
-        *lock(&self.slot) = Some(outcome);
-        self.done.notify_all();
-    }
-
-    fn wait_until(&self, deadline: Instant) -> Option<LaneOutcome> {
-        let mut slot = lock(&self.slot);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return Some(outcome);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timeout) = self
-                .done
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = next;
-            if timeout.timed_out() && slot.is_none() {
-                return None;
-            }
-        }
-    }
-}
-
 struct LaneEntry {
-    job: Arc<RouterJob>,
+    job: Arc<Slot<LaneOutcome>>,
     deadline: Instant,
 }
 
@@ -375,6 +279,7 @@ impl Drop for Lane {
     }
 }
 
+/// One client connection's lanes, shared by its reader and writer.
 type LaneMap = Mutex<BTreeMap<WorkerId, Lane>>;
 
 fn open_lane(
@@ -421,22 +326,14 @@ fn lane_read_line(
     deadline: Instant,
 ) -> LaneRead {
     loop {
-        match reader.read_until(b'\n', buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+        match poll_line(reader, buf) {
+            Line::Idle => {
                 if Instant::now() >= deadline {
                     return LaneRead::TimedOut;
                 }
             }
-            Err(_) | Ok(0) => return LaneRead::Closed,
-            Ok(_) => {
-                if buf.last() != Some(&b'\n') {
-                    return LaneRead::Closed; // EOF mid-line
-                }
+            Line::Closed | Line::Partial => return LaneRead::Closed,
+            Line::Full => {
                 let line = String::from_utf8_lossy(buf);
                 let parsed = Response::parse_line(line.trim());
                 buf.clear();
@@ -510,7 +407,7 @@ fn forward(
     request: &Request,
     deadline: Instant,
     reroutes: &mut u64,
-) -> Result<(Arc<RouterJob>, WorkerId), ServeError> {
+) -> Result<(Arc<Slot<LaneOutcome>>, WorkerId), ServeError> {
     let key = request.routing_key();
     let mut line = request.to_json().compact().into_bytes();
     line.push(b'\n');
@@ -553,7 +450,7 @@ fn forward(
         let Some(lane) = map.get_mut(&worker) else {
             continue;
         };
-        let job = Arc::new(RouterJob::new());
+        let job = Arc::new(Slot::new());
         let entry = LaneEntry {
             job: Arc::clone(&job),
             deadline,
@@ -572,365 +469,135 @@ fn forward(
     ))
 }
 
-/// A response owed to the client, in request order.
-struct RouterPendingResponse {
-    id: Json,
-    verb: String,
-    received: Instant,
-    /// `Some(key)` when the request opted into the v2 envelope.
-    routing_key: Option<String>,
-    kind: RouterPending,
+/// A request in flight on a worker lane.
+struct Forwarded {
+    job: Arc<Slot<LaneOutcome>>,
+    worker: WorkerId,
+    deadline: Instant,
+    reroutes: u64,
+    request: Request,
 }
 
-enum RouterPending {
-    /// Decided at dispatch time (admin verbs, rejections, errors).
-    Ready(Result<Json, ServeError>),
-    /// In flight on a worker lane.
-    Forwarded {
-        job: Arc<RouterJob>,
-        worker: WorkerId,
-        deadline: Instant,
-        reroutes: u64,
-        request: Request,
-    },
-}
+impl Role for RouterShared {
+    type Conn = LaneMap;
+    type Pending = Forwarded;
+    const NAME: &'static str = "amnesiac-router";
+    const HOP: &'static str = "router";
 
-/// A running cluster router. Same lifecycle contract as
-/// [`crate::server::Server`]: [`Router::shutdown`] then
-/// [`Router::join`], or [`Router::stop`] for both.
-pub struct Router {
-    shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl Router {
-    /// Binds, seeds the membership view with `workers`, and starts the
-    /// acceptor and probe threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn start(config: RouterConfig, workers: &[SocketAddr]) -> std::io::Result<Router> {
-        let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(RouterShared {
-            addr,
-            timeout_ms: config.timeout_ms.max(1),
-            probe_interval: config.probe_interval,
-            probe_timeout: config.probe_timeout,
-            probe_failure_threshold: config.probe_failure_threshold.max(1),
-            shutdown: AtomicBool::new(false),
-            membership: Mutex::new(Membership::new(workers)),
-            worker_stats: Mutex::new(BTreeMap::new()),
-            forwarded: AtomicU64::new(0),
-            rerouted: AtomicU64::new(0),
-            unavailable: AtomicU64::new(0),
-            probe_failures: AtomicU64::new(0),
-            open_connections: AtomicUsize::new(0),
-            router_id: fresh_server_id(),
-            started: Instant::now(),
-            started_at_ms: wall_clock_ms(),
-        });
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            thread::Builder::new()
-                .name("amnesiac-router-accept".into())
-                .spawn(move || acceptor_loop(listener, shared, conns))?
-        };
-        let prober = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("amnesiac-router-probe".into())
-                .spawn(move || probe_loop(shared))?
-        };
-        Ok(Router {
-            shared,
-            acceptor: Some(acceptor),
-            prober: Some(prober),
-            conns,
-        })
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    /// The bound address (read this when `port` was 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// Begins a graceful drain of the router and (best-effort) of every
-    /// live worker. Returns immediately; pair with [`Router::join`].
-    pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
-    }
-
-    /// The router `stats` payload from cached worker snapshots (the
-    /// `stats` verb over the wire does a fresh sweep instead).
-    pub fn stats_json(&self) -> Json {
-        self.shared.stats_payload(false)
-    }
-
-    /// The generation-numbered membership view.
-    pub fn membership_json(&self) -> Json {
-        lock(&self.shared.membership).to_json()
-    }
-
-    /// The current membership generation.
-    pub fn generation(&self) -> u64 {
-        lock(&self.shared.membership).generation()
-    }
-
-    /// Waits until the acceptor, every connection, and the probe thread
-    /// have exited (prompt only after [`Router::shutdown`]).
-    pub fn join(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+    fn begin_shutdown(&self) {
+        if self.front.begin_shutdown() {
+            // Drain the fleet: ask every live worker to shut down
+            // gracefully (best-effort; a dead worker is already gone).
+            let addrs: Vec<SocketAddr> = lock(&self.membership)
+                .workers()
+                .iter()
+                .filter(|w| w.state != WorkerState::Down)
+                .map(|w| w.addr)
+                .collect();
+            for addr in addrs {
+                let _ = send_admin(addr, "shutdown");
+            }
         }
+    }
+
+    /// Answers admin verbs, drain refusals and placement failures
+    /// inline; forwards everything else to a worker lane.
+    fn dispatch(self: &Arc<Self>, lanes: &LaneMap, request: &Request) -> Reply<Forwarded> {
+        match request.wire_verb() {
+            Some(WireVerb::Stats) => Reply::Ready(Ok(self.stats_payload(true))),
+            Some(WireVerb::Cluster) => Reply::Ready(Ok(lock(&self.membership).to_json())),
+            Some(WireVerb::Drain) => Reply::Ready(drain_worker(self, request)),
+            _ if self.front.draining() => Reply::Ready(Err(draining_error("router"))),
+            _ => {
+                let deadline = Instant::now()
+                    + Duration::from_millis(request.timeout_ms.unwrap_or(self.timeout_ms));
+                let mut reroutes = 0u64;
+                match forward(self, lanes, request, deadline, &mut reroutes) {
+                    Ok((job, worker)) => {
+                        self.forwarded.fetch_add(1, Ordering::AcqRel);
+                        if reroutes > 0 {
+                            self.rerouted.fetch_add(reroutes, Ordering::AcqRel);
+                        }
+                        Reply::Pending(Forwarded {
+                            job,
+                            worker,
+                            deadline,
+                            reroutes,
+                            request: request.clone(),
+                        })
+                    }
+                    Err(error) => {
+                        self.unavailable.fetch_add(1, Ordering::AcqRel);
+                        Reply::Ready(Err(error))
+                    }
+                }
+            }
+        }
+    }
+
+    /// Waits out the forwarded job, re-placing it once when its lane is
+    /// lost (retry-once), and converts every terminal state into a
+    /// structured result — never a hang.
+    fn resolve(self: &Arc<Self>, lanes: &LaneMap, pending: Forwarded, _: Instant) -> Resolved {
+        let Forwarded {
+            mut job,
+            mut worker,
+            deadline,
+            mut reroutes,
+            request,
+        } = pending;
+        let mut lane_retries = 0u32;
         loop {
-            let Some(conn) = lock(&self.conns).pop() else {
-                break;
+            let (result, hop) = match job.wait_until(deadline + RESPONSE_SLACK * 2) {
+                Some(LaneOutcome::Answered { result, worker_ms }) => (result, Some(worker_ms)),
+                Some(LaneOutcome::TimedOut) | None => (
+                    Err(ServeError::new(
+                        code::TIMEOUT,
+                        format!("request exceeded its deadline (worker w{worker} unresponsive)"),
+                    )),
+                    Some(0.0),
+                ),
+                Some(LaneOutcome::LaneLost) if lane_retries >= 1 => {
+                    self.unavailable.fetch_add(1, Ordering::AcqRel);
+                    (
+                        Err(ServeError::new(
+                            code::UNAVAILABLE,
+                            "worker lost twice while handling this request",
+                        )),
+                        None,
+                    )
+                }
+                Some(LaneOutcome::LaneLost) => {
+                    lane_retries += 1;
+                    reroutes += 1;
+                    self.rerouted.fetch_add(1, Ordering::AcqRel);
+                    let mut extra = 0u64;
+                    match forward(self, lanes, &request, deadline, &mut extra) {
+                        Ok((next_job, next_worker)) => {
+                            reroutes += extra;
+                            if extra > 0 {
+                                self.rerouted.fetch_add(extra, Ordering::AcqRel);
+                            }
+                            job = next_job;
+                            worker = next_worker;
+                            continue;
+                        }
+                        Err(error) => {
+                            self.unavailable.fetch_add(1, Ordering::AcqRel);
+                            (Err(error), None)
+                        }
+                    }
+                }
             };
-            let _ = conn.join();
-        }
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
-    }
-
-    /// [`Router::shutdown`] followed by [`Router::join`].
-    pub fn stop(mut self) {
-        self.shutdown();
-        self.join();
-    }
-}
-
-fn acceptor_loop(
-    listener: TcpListener,
-    shared: Arc<RouterShared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
-            continue;
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Reap finished connection handles (same bounded-tracking
-        // policy as the server's acceptor).
-        {
-            let mut guard = lock(&conns);
-            let mut i = 0;
-            while i < guard.len() {
-                if guard[i].is_finished() {
-                    let _ = guard.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        shared.open_connections.fetch_add(1, Ordering::AcqRel);
-        let conn_shared = Arc::clone(&shared);
-        match thread::Builder::new()
-            .name("amnesiac-router-conn".into())
-            .spawn(move || serve_connection(conn_shared, stream))
-        {
-            Ok(handle) => lock(&conns).push(handle),
-            Err(_) => {
-                shared.open_connections.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-    }
-}
-
-fn probe_loop(shared: Arc<RouterShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let snapshot: Vec<(WorkerId, SocketAddr)> = lock(&shared.membership)
-            .workers()
-            .iter()
-            .map(|w| (w.id, w.addr))
-            .collect();
-        for (id, addr) in snapshot {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match probe_worker(addr, shared.probe_timeout) {
-                Ok(stats) => shared.observe_worker_stats(id, stats),
-                Err(_) => {
-                    shared.probe_failures.fetch_add(1, Ordering::AcqRel);
-                    let mut membership = lock(&shared.membership);
-                    let failures = membership.probe_failed(id);
-                    let up = membership
-                        .worker(id)
-                        .is_some_and(|w| w.state == WorkerState::Up);
-                    if up && failures >= shared.probe_failure_threshold {
-                        membership.mark_down(id);
-                    }
-                }
-            }
-        }
-        // Sleep in slices so shutdown stays prompt.
-        let mut remaining = shared.probe_interval;
-        while remaining > Duration::ZERO && !shared.shutdown.load(Ordering::SeqCst) {
-            let step = remaining.min(Duration::from_millis(50));
-            thread::sleep(step);
-            remaining = remaining.saturating_sub(step);
-        }
-    }
-}
-
-fn serve_connection(shared: Arc<RouterShared>, stream: TcpStream) {
-    struct OpenGuard(Arc<RouterShared>);
-    impl Drop for OpenGuard {
-        fn drop(&mut self) {
-            self.0.open_connections.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    let _open = OpenGuard(Arc::clone(&shared));
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let Ok(write_stream) = stream.try_clone() else {
-        return;
-    };
-    let lanes: Arc<LaneMap> = Arc::new(Mutex::new(BTreeMap::new()));
-    let (tx, rx) = channel::<RouterPendingResponse>();
-    let writer = {
-        let shared = Arc::clone(&shared);
-        let lanes = Arc::clone(&lanes);
-        let spawned = thread::Builder::new()
-            .name("amnesiac-router-write".into())
-            .spawn(move || writer_loop(shared, write_stream, rx, lanes));
-        match spawned {
-            Ok(handle) => handle,
-            Err(_) => return,
-        }
-    };
-    reader_loop(&shared, stream, &tx, &lanes);
-    drop(tx);
-    let _ = writer.join();
-    // `lanes` drops here (writer's clone is gone too): sockets shut,
-    // receiver threads joined.
-}
-
-fn reader_loop(
-    shared: &Arc<RouterShared>,
-    stream: TcpStream,
-    tx: &Sender<RouterPendingResponse>,
-    lanes: &Arc<LaneMap>,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) | Ok(0) => return,
-            Ok(_) => {
-                if buf.last() != Some(&b'\n') {
-                    process_line(shared, lanes, tx, &buf);
-                    return;
-                }
-                process_line(shared, lanes, tx, &buf);
-                buf.clear();
-            }
-        }
-    }
-}
-
-fn process_line(
-    shared: &Arc<RouterShared>,
-    lanes: &Arc<LaneMap>,
-    tx: &Sender<RouterPendingResponse>,
-    raw: &[u8],
-) {
-    let line = String::from_utf8_lossy(raw);
-    let line = line.trim();
-    if line.is_empty() {
-        return;
-    }
-    let received = Instant::now();
-    let request = match Request::parse_line(line) {
-        Ok(request) => request,
-        Err(error) => {
-            let _ = tx.send(RouterPendingResponse {
-                id: Json::Null,
-                verb: "?".to_string(),
-                received,
-                routing_key: None,
-                kind: RouterPending::Ready(Err(error)),
-            });
-            return;
-        }
-    };
-    let routing_key = (request.proto_version() >= 2).then(|| request.routing_key());
-    let kind = route_dispatch(shared, lanes, &request);
-    let _ = tx.send(RouterPendingResponse {
-        id: request.id.clone(),
-        verb: request.verb.clone(),
-        received,
-        routing_key,
-        kind,
-    });
-}
-
-/// Decides one parsed request: answered inline (admin verbs, drain
-/// rejections, placement failures) or forwarded to a worker lane.
-fn route_dispatch(
-    shared: &Arc<RouterShared>,
-    lanes: &Arc<LaneMap>,
-    request: &Request,
-) -> RouterPending {
-    match request.wire_verb() {
-        Some(WireVerb::Stats) => RouterPending::Ready(Ok(shared.stats_payload(true))),
-        Some(WireVerb::Cluster) => RouterPending::Ready(Ok(lock(&shared.membership).to_json())),
-        Some(WireVerb::Shutdown) => {
-            let ready = RouterPending::Ready(Ok(Json::obj().with("draining", true)));
-            shared.begin_shutdown();
-            ready
-        }
-        Some(WireVerb::Drain) => RouterPending::Ready(drain_worker(shared, request)),
-        _ if shared.shutdown.load(Ordering::SeqCst) => RouterPending::Ready(Err(ServeError::new(
-            code::SHUTTING_DOWN,
-            "router is draining and refuses new work",
-        ))),
-        _ => {
-            let deadline = Instant::now()
-                + Duration::from_millis(request.timeout_ms.unwrap_or(shared.timeout_ms));
-            let mut reroutes = 0u64;
-            match forward(shared, lanes, request, deadline, &mut reroutes) {
-                Ok((job, worker)) => {
-                    shared.forwarded.fetch_add(1, Ordering::AcqRel);
-                    if reroutes > 0 {
-                        shared.rerouted.fetch_add(reroutes, Ordering::AcqRel);
-                    }
-                    RouterPending::Forwarded {
-                        job,
-                        worker,
-                        deadline,
-                        reroutes,
-                        request: request.clone(),
-                    }
-                }
-                Err(error) => {
-                    shared.unavailable.fetch_add(1, Ordering::AcqRel);
-                    RouterPending::Ready(Err(error))
-                }
-            }
+            return Resolved {
+                result,
+                rerouted: reroutes,
+                hop: hop.map(|ms| (format!("w{worker}"), ms)),
+            };
         }
     }
 }
@@ -938,7 +605,7 @@ fn route_dispatch(
 /// The `drain` admin verb: `target` names a worker (`w1`, `1`, or its
 /// address); the worker leaves the ring and is asked to shut down
 /// gracefully — in-flight requests on existing lanes finish normally.
-fn drain_worker(shared: &Arc<RouterShared>, request: &Request) -> Result<Json, ServeError> {
+fn drain_worker(shared: &RouterShared, request: &Request) -> Result<Json, ServeError> {
     let Some(target) = request.target.as_deref() else {
         return Err(ServeError::new(
             code::USAGE,
@@ -970,7 +637,7 @@ fn drain_worker(shared: &Arc<RouterShared>, request: &Request) -> Result<Json, S
     let generation = membership.generation();
     drop(membership);
     if let Some(addr) = addr {
-        let _ = send_admin(addr, "shutdown", shared.probe_timeout);
+        let _ = send_admin(addr, "shutdown");
     }
     Ok(Json::obj()
         .with("draining_worker", id)
@@ -978,114 +645,128 @@ fn drain_worker(shared: &Arc<RouterShared>, request: &Request) -> Result<Json, S
         .with("generation", generation))
 }
 
-fn writer_loop(
+/// A running cluster router. Same lifecycle contract as
+/// [`crate::server::Server`]: [`Router::shutdown`] then
+/// [`Router::join`], or [`Router::stop`] for both.
+pub struct Router {
     shared: Arc<RouterShared>,
-    mut stream: TcpStream,
-    rx: Receiver<RouterPendingResponse>,
-    lanes: Arc<LaneMap>,
-) {
-    let mut broken_client = false;
-    for pending in rx {
-        let (result, reroutes, worker_hop) = resolve(&shared, &lanes, pending.kind);
-        if broken_client {
-            continue; // keep draining so in-flight jobs are resolved
-        }
-        let elapsed_ms = pending.received.elapsed().as_secs_f64() * 1e3;
-        let meta = pending.routing_key.map(|key| {
-            let mut hops = vec![("router".to_string(), elapsed_ms)];
-            if let Some((worker, worker_ms)) = worker_hop {
-                hops.push((format!("w{worker}"), worker_ms));
-            }
-            RouteMeta {
-                proto: 2,
-                routing_key: key,
-                rerouted: reroutes,
-                hops,
-            }
+    acceptor: Acceptor,
+    prober: Option<JoinHandle<()>>,
+}
+
+impl Router {
+    /// Binds, seeds the membership view with `workers`, and starts the
+    /// acceptor and probe threads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the bind failure.
+    pub fn start(config: RouterConfig, workers: &[SocketAddr]) -> std::io::Result<Router> {
+        let (listener, front) = Front::bind(&config.host, config.port)?;
+        let shared = Arc::new(RouterShared {
+            front,
+            timeout_ms: config.timeout_ms.max(1),
+            membership: Mutex::new(Membership::new(workers)),
+            worker_stats: Mutex::new(BTreeMap::new()),
+            forwarded: AtomicU64::new(0),
+            rerouted: AtomicU64::new(0),
+            unavailable: AtomicU64::new(0),
+            probe_failures: AtomicU64::new(0),
         });
-        let response = Response {
-            id: pending.id,
-            verb: pending.verb,
-            elapsed_ms,
-            result,
-            meta,
+        let acceptor =
+            Acceptor::spawn(
+                listener,
+                Arc::clone(&shared),
+                || Mutex::new(BTreeMap::new()),
+            )?;
+        let prober = {
+            let shared = Arc::clone(&shared);
+            thread::Builder::new()
+                .name("amnesiac-router-probe".into())
+                .spawn(move || probe_loop(shared))?
         };
-        let mut line = response.to_json().compact();
-        line.push('\n');
-        if stream.write_all(line.as_bytes()).is_err() || stream.flush().is_err() {
-            broken_client = true;
+        Ok(Router {
+            shared,
+            acceptor,
+            prober: Some(prober),
+        })
+    }
+
+    /// The bound address (read this when `port` was 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.shared.front.addr
+    }
+
+    /// Begins a graceful drain of the router and (best-effort) of every
+    /// live worker. Returns immediately; pair with [`Router::join`].
+    pub fn shutdown(&self) {
+        self.shared.begin_shutdown();
+    }
+
+    /// The router `stats` payload from cached worker snapshots (the
+    /// `stats` verb over the wire does a fresh sweep instead).
+    pub fn stats_json(&self) -> Json {
+        self.shared.stats_payload(false)
+    }
+
+    /// The generation-numbered membership view.
+    pub fn membership_json(&self) -> Json {
+        lock(&self.shared.membership).to_json()
+    }
+
+    /// The current membership generation.
+    pub fn generation(&self) -> u64 {
+        lock(&self.shared.membership).generation()
+    }
+
+    /// Waits until the acceptor, every connection, and the probe thread
+    /// have exited (prompt only after [`Router::shutdown`]).
+    pub fn join(&mut self) {
+        self.acceptor.join();
+        if let Some(prober) = self.prober.take() {
+            let _ = prober.join();
         }
+    }
+
+    /// [`Router::shutdown`] followed by [`Router::join`].
+    pub fn stop(mut self) {
+        self.shutdown();
+        self.join();
     }
 }
 
-/// Resolves one pending response: waits out the forwarded job,
-/// re-placing it once when its lane is lost (retry-once), and converts
-/// every terminal state into a structured result — never a hang.
-fn resolve(
-    shared: &Arc<RouterShared>,
-    lanes: &Arc<LaneMap>,
-    kind: RouterPending,
-) -> (Result<Json, ServeError>, u64, Option<(WorkerId, f64)>) {
-    match kind {
-        RouterPending::Ready(result) => (result, 0, None),
-        RouterPending::Forwarded {
-            mut job,
-            mut worker,
-            deadline,
-            mut reroutes,
-            request,
-        } => {
-            let mut lane_retries = 0u32;
-            loop {
-                match job.wait_until(deadline + RESPONSE_SLACK * 2) {
-                    Some(LaneOutcome::Answered { result, worker_ms }) => {
-                        return (result, reroutes, Some((worker, worker_ms)));
-                    }
-                    Some(LaneOutcome::TimedOut) | None => {
-                        return (
-                            Err(ServeError::new(
-                                code::TIMEOUT,
-                                format!(
-                                    "request exceeded its deadline (worker w{worker} unresponsive)"
-                                ),
-                            )),
-                            reroutes,
-                            Some((worker, 0.0)),
-                        );
-                    }
-                    Some(LaneOutcome::LaneLost) => {
-                        if lane_retries >= 1 {
-                            shared.unavailable.fetch_add(1, Ordering::AcqRel);
-                            return (
-                                Err(ServeError::new(
-                                    code::UNAVAILABLE,
-                                    "worker lost twice while handling this request",
-                                )),
-                                reroutes,
-                                None,
-                            );
-                        }
-                        lane_retries += 1;
-                        reroutes += 1;
-                        shared.rerouted.fetch_add(1, Ordering::AcqRel);
-                        let mut extra = 0u64;
-                        match forward(shared, lanes, &request, deadline, &mut extra) {
-                            Ok((next_job, next_worker)) => {
-                                reroutes += extra;
-                                if extra > 0 {
-                                    shared.rerouted.fetch_add(extra, Ordering::AcqRel);
-                                }
-                                job = next_job;
-                                worker = next_worker;
-                            }
-                            Err(error) => {
-                                shared.unavailable.fetch_add(1, Ordering::AcqRel);
-                                return (Err(error), reroutes, None);
-                            }
-                        }
+fn probe_loop(shared: Arc<RouterShared>) {
+    while !shared.front.draining() {
+        let snapshot: Vec<(WorkerId, SocketAddr)> = lock(&shared.membership)
+            .workers()
+            .iter()
+            .map(|w| (w.id, w.addr))
+            .collect();
+        for (id, addr) in snapshot {
+            if shared.front.draining() {
+                return;
+            }
+            match probe_worker(addr) {
+                Ok(stats) => shared.observe_worker_stats(id, stats),
+                Err(_) => {
+                    shared.probe_failures.fetch_add(1, Ordering::AcqRel);
+                    let mut membership = lock(&shared.membership);
+                    let failures = membership.probe_failed(id);
+                    let up = membership
+                        .worker(id)
+                        .is_some_and(|w| w.state == WorkerState::Up);
+                    if up && failures >= PROBE_FAILURE_THRESHOLD {
+                        membership.mark_down(id);
                     }
                 }
             }
+        }
+        // Sleep in slices so shutdown stays prompt.
+        let mut remaining = PROBE_INTERVAL;
+        while remaining > Duration::ZERO && !shared.front.draining() {
+            let step = remaining.min(Duration::from_millis(50));
+            thread::sleep(step);
+            remaining = remaining.saturating_sub(step);
         }
     }
 }

@@ -1,11 +1,10 @@
-//! The concurrent batch server.
+//! The concurrent batch server: the pool-backed `front` role.
 //!
-//! One acceptor thread takes TCP connections; each connection gets a
-//! reader thread (parses request lines, dispatches jobs) and a writer
-//! thread (waits for each job up to its deadline, writes response lines
-//! in request order). Request execution happens on an [`amnesiac_pool`]
-//! work-stealing pool owned by a dispatcher thread, so heavy verbs from
-//! many connections share one bounded set of workers.
+//! The shared front end accepts connections and gives each a reader and
+//! a writer thread; this module decides what a request means. Request
+//! execution happens on an [`amnesiac_pool`] work-stealing pool owned by
+//! a dispatcher thread, so heavy verbs from many connections share one
+//! bounded set of workers.
 //!
 //! ## Backpressure
 //!
@@ -33,20 +32,19 @@
 //! once every connection and the worker pool have wound down.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use amnesiac_pool::Pool;
-use amnesiac_rng::Rng;
 use amnesiac_telemetry::Json;
 
-use crate::protocol::{code, Request, Response, RouteMeta, ServeError, PROTOCOL_VERSION};
+use crate::front::{draining_error, lock, Acceptor, Front, Reply, Resolved, Role, Slot};
+use crate::protocol::{code, Request, ServeError};
 
 /// How the request handler is plugged into the server: a function from
 /// parsed request to payload-or-error. Called on pool workers; must be
@@ -93,9 +91,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-verb counters exposed by the `stats` verb.
+/// Per-verb counters exposed by the `stats` verb. The router sums its
+/// workers' counters into the same shape.
 #[derive(Debug, Clone, Default)]
-struct VerbStats {
+pub(crate) struct VerbStats {
     requests: u64,
     ok: u64,
     errors: u64,
@@ -104,88 +103,68 @@ struct VerbStats {
     max_ms: f64,
 }
 
-#[derive(Debug, Default)]
-struct Stats {
-    verbs: BTreeMap<String, VerbStats>,
+impl VerbStats {
+    fn record(&mut self, outcome: &Result<Json, ServeError>, elapsed_ms: f64) {
+        self.requests += 1;
+        match outcome {
+            Ok(_) => self.ok += 1,
+            Err(e) if e.code == code::TIMEOUT => self.timeouts += 1,
+            Err(_) => self.errors += 1,
+        }
+        self.total_ms += elapsed_ms;
+        self.max_ms = self.max_ms.max(elapsed_ms);
+    }
+
+    /// Adds one node's `verbs.<verb>` counters (missing fields count 0).
+    pub(crate) fn merge_json(&mut self, counters: &Json) {
+        let n = |field: &str| counters.get(field).and_then(Json::as_f64).unwrap_or(0.0);
+        self.requests += n("requests") as u64;
+        self.ok += n("ok") as u64;
+        self.errors += n("errors") as u64;
+        self.timeouts += n("timeouts") as u64;
+        self.total_ms += n("total_ms");
+        self.max_ms = self.max_ms.max(n("max_ms"));
+    }
+
+    /// The `verbs` object of a `stats` payload.
+    pub(crate) fn verbs_json(verbs: &BTreeMap<String, VerbStats>) -> Json {
+        let mut out = Json::obj();
+        for (verb, v) in verbs {
+            out.set(
+                verb,
+                Json::obj()
+                    .with("requests", v.requests)
+                    .with("ok", v.ok)
+                    .with("errors", v.errors)
+                    .with("timeouts", v.timeouts)
+                    .with("total_ms", v.total_ms)
+                    .with("max_ms", v.max_ms),
+            );
+        }
+        out
+    }
 }
 
-/// The poll interval readers use while blocked on a quiet socket; bounds
-/// how long shutdown waits for an idle connection to notice the flag.
-const READ_POLL: Duration = Duration::from_millis(25);
+/// A queued request's work, run on a pool worker.
+type Task = Box<dyn FnOnce() + Send>;
 
-/// First pause after a transient `accept()` error. Without a pause, fd
-/// exhaustion (EMFILE) under load turns the acceptor into a 100%-CPU
-/// spin; with one, it backs off and retries once pressure eases.
-const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(2);
-
-/// Ceiling of the accept-error backoff (doubles per consecutive error).
-/// Also bounds how long a draining server waits for the acceptor to
-/// re-check the shutdown flag after an error streak.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
-
-/// The next accept-error pause: exponential, capped.
-fn next_accept_backoff(current: Duration) -> Duration {
-    (current * 2).min(ACCEPT_BACKOFF_MAX)
-}
-
-/// Wall-clock milliseconds since the UNIX epoch (0 if the clock is
-/// before the epoch, which only a badly broken host reports).
-pub(crate) fn wall_clock_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// A fresh process-unique server identity: a seeded-random 64-bit hex
-/// string. Paired with `started_at_ms` in the `stats` payload so a
-/// cluster membership view can tell a restarted worker from the old one
-/// even when the OS reuses the port.
-pub(crate) fn fresh_server_id() -> String {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64 ^ (d.as_secs() << 20))
-        .unwrap_or(0);
-    let seed = nanos ^ u64::from(std::process::id()).rotate_left(32);
-    let mut rng = Rng::seed_from_u64(seed);
-    format!("{:016x}", rng.next_u64())
-}
-
-/// Locks a mutex, recovering the guard when a panicking thread poisoned
-/// it. Every structure behind a server mutex (stats counters, connection
-/// handles, completion slots) stays well-formed across a handler panic,
-/// and refusing all further service over a poisoned counter would turn
-/// one panic into an outage.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// An admitted request: its completion slot and its deadline.
+type Admitted = (Arc<Slot<Result<Json, ServeError>>>, Instant);
 
 struct Shared {
+    front: Front,
     handler: Handler,
-    addr: SocketAddr,
     backlog: usize,
     timeout_ms: u64,
     workers: usize,
-    shutdown: AtomicBool,
     /// Requests currently queued or running (admission counter).
     inflight: AtomicUsize,
     rejected_overload: AtomicU64,
-    /// Transient `listener.accept()` failures (each one also costs a
-    /// backoff pause in the acceptor).
-    accept_errors: AtomicU64,
-    /// Connections whose reader/writer threads are still running.
-    open_connections: AtomicUsize,
     /// Jobs the pool skipped because their deadline had already passed
     /// (or the writer had cancelled them) by the time a worker got there.
     expired_skipped: AtomicU64,
-    stats: Mutex<Stats>,
+    verbs: Mutex<BTreeMap<String, VerbStats>>,
     stats_ext: Option<StatsHook>,
-    started: Instant,
-    /// Seeded-random process identity, exposed via `stats` so a cluster
-    /// membership view can detect a restart behind a reused port.
-    server_id: String,
-    /// Wall-clock UNIX ms at startup (same restart-detection purpose).
-    started_at_ms: u64,
 }
 
 impl Shared {
@@ -202,48 +181,11 @@ impl Shared {
         self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 
-    fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // Wake the acceptor out of its blocking `accept` so it can see
-            // the flag; the throwaway connection is dropped unserved.
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
-
-    fn record(&self, verb: &str, outcome: &Result<Json, ServeError>, elapsed_ms: f64) {
-        let mut stats = lock(&self.stats);
-        let entry = stats.verbs.entry(verb.to_string()).or_default();
-        entry.requests += 1;
-        match outcome {
-            Ok(_) => entry.ok += 1,
-            Err(e) if e.code == code::TIMEOUT => entry.timeouts += 1,
-            Err(_) => entry.errors += 1,
-        }
-        entry.total_ms += elapsed_ms;
-        entry.max_ms = entry.max_ms.max(elapsed_ms);
-    }
-
     /// The `stats` verb's payload.
     fn stats_json(&self) -> Json {
-        let stats = lock(&self.stats);
-        let mut verbs = Json::obj();
-        for (verb, v) in &stats.verbs {
-            verbs.set(
-                verb,
-                Json::obj()
-                    .with("requests", v.requests)
-                    .with("ok", v.ok)
-                    .with("errors", v.errors)
-                    .with("timeouts", v.timeouts)
-                    .with("total_ms", v.total_ms)
-                    .with("max_ms", v.max_ms),
-            );
-        }
-        let mut payload = Json::obj()
-            .with("protocol_version", PROTOCOL_VERSION)
-            .with("server_id", self.server_id.as_str())
-            .with("started_at_ms", self.started_at_ms)
-            .with("uptime_ms", self.started.elapsed().as_secs_f64() * 1e3)
+        let front = &self.front;
+        let mut payload = front
+            .identity(Json::obj())
             .with("workers", self.workers)
             .with("backlog", self.backlog)
             .with("timeout_ms", self.timeout_ms)
@@ -252,17 +194,17 @@ impl Shared {
                 "rejected_overload",
                 self.rejected_overload.load(Ordering::Acquire),
             )
-            .with("accept_errors", self.accept_errors.load(Ordering::Acquire))
+            .with("accept_errors", front.accept_errors.load(Ordering::Acquire))
             .with(
                 "open_connections",
-                self.open_connections.load(Ordering::Acquire),
+                front.open_connections.load(Ordering::Acquire),
             )
             .with(
                 "expired_skipped",
                 self.expired_skipped.load(Ordering::Acquire),
             )
-            .with("draining", self.shutdown.load(Ordering::SeqCst))
-            .with("verbs", verbs);
+            .with("draining", front.draining())
+            .with("verbs", VerbStats::verbs_json(&lock(&self.verbs)));
         if let Some(hook) = &self.stats_ext {
             if let Json::Obj(fields) = hook() {
                 for (key, value) in fields {
@@ -272,71 +214,106 @@ impl Shared {
         }
         payload
     }
+
+    /// Admits one request and queues it on the pool.
+    fn submit(self: &Arc<Self>, jobs_tx: &Sender<Task>, request: &Request) -> Reply<Admitted> {
+        if !self.try_admit() {
+            self.rejected_overload.fetch_add(1, Ordering::AcqRel);
+            return Reply::Ready(Err(ServeError::new(
+                code::OVERLOADED,
+                format!("backlog full ({} requests in flight)", self.backlog),
+            )));
+        }
+        let job = Arc::new(Slot::new());
+        let deadline =
+            Instant::now() + Duration::from_millis(request.timeout_ms.unwrap_or(self.timeout_ms));
+        let task = {
+            let job = Arc::clone(&job);
+            let shared = Arc::clone(self);
+            let request = request.clone();
+            Box::new(move || {
+                // A request whose deadline passed while it was still
+                // queued is cancelled outright — never executed. The
+                // writer cancels the job when it observes the timeout,
+                // but it can only do so after resolving every earlier
+                // response on its connection; the deadline check covers
+                // the window where an expired job reaches a worker
+                // before the writer got that far, so a pile-up of
+                // expired queued requests never burns worker time.
+                if job.is_cancelled() || Instant::now() >= deadline {
+                    shared.expired_skipped.fetch_add(1, Ordering::AcqRel);
+                } else {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| (shared.handler)(&request)))
+                        .unwrap_or_else(|_| {
+                            Err(ServeError::new(
+                                code::INTERNAL,
+                                format!("handler panicked on verb `{}`", request.verb),
+                            ))
+                        });
+                    job.complete(outcome);
+                }
+                shared.release();
+            }) as Task
+        };
+        if jobs_tx.send(task).is_err() {
+            // Dispatcher gone: only possible mid-shutdown.
+            self.release();
+            return Reply::Ready(Err(draining_error("server")));
+        }
+        Reply::Pending((job, deadline))
+    }
 }
 
-/// One request's completion slot, shared between the pool job computing
-/// it and the connection writer waiting on it.
-struct Job {
-    cancelled: AtomicBool,
-    slot: Mutex<Option<Result<Json, ServeError>>>,
-    done: Condvar,
-}
+impl Role for Shared {
+    /// The connection's sender to the pool's dispatcher.
+    type Conn = Sender<Task>;
+    type Pending = Admitted;
+    const NAME: &'static str = "amnesiac-serve";
+    const HOP: &'static str = "serve";
 
-impl Job {
-    fn new() -> Job {
-        Job {
-            cancelled: AtomicBool::new(false),
-            slot: Mutex::new(None),
-            done: Condvar::new(),
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    /// Answers `stats` and drain refusals inline; admits the rest.
+    fn dispatch(
+        self: &Arc<Self>,
+        jobs_tx: &Sender<Task>,
+        request: &Request,
+    ) -> Reply<Self::Pending> {
+        if request.verb == "stats" {
+            Reply::Ready(Ok(self.stats_json()))
+        } else if self.front.draining() {
+            Reply::Ready(Err(draining_error("server")))
+        } else {
+            self.submit(jobs_tx, request)
         }
     }
 
-    fn complete(&self, result: Result<Json, ServeError>) {
-        *lock(&self.slot) = Some(result);
-        self.done.notify_all();
+    fn resolve(
+        self: &Arc<Self>,
+        _: &Sender<Task>,
+        (job, deadline): Self::Pending,
+        received: Instant,
+    ) -> Resolved {
+        Resolved::local(job.wait_until(deadline).unwrap_or_else(|| {
+            job.cancel();
+            Err(ServeError::new(
+                code::TIMEOUT,
+                format!(
+                    "request exceeded its {} ms deadline",
+                    (deadline - received).as_millis()
+                ),
+            ))
+        }))
     }
 
-    /// Waits for completion until `deadline`; `None` means the deadline
-    /// passed first (the caller reports a timeout and cancels).
-    fn wait_until(&self, deadline: Instant) -> Option<Result<Json, ServeError>> {
-        let mut slot = lock(&self.slot);
-        loop {
-            if let Some(result) = slot.take() {
-                return Some(result);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timeout) = self
-                .done
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = next;
-            if timeout.timed_out() && slot.is_none() {
-                return None;
-            }
-        }
+    fn record(&self, verb: &str, outcome: &Result<Json, ServeError>, elapsed_ms: f64) {
+        lock(&self.verbs)
+            .entry(verb.to_string())
+            .or_default()
+            .record(outcome, elapsed_ms);
     }
-}
-
-/// A response owed to the client, in request order.
-struct PendingResponse {
-    id: Json,
-    verb: String,
-    received: Instant,
-    /// `Some(key)` when the request opted into the v2 envelope: the
-    /// writer folds routing metadata (key, zero reroutes, one `serve`
-    /// hop) into the response. `None` keeps the v1 envelope unchanged.
-    routing_key: Option<String>,
-    kind: PendingKind,
-}
-
-enum PendingKind {
-    /// Decided at dispatch time (stats, rejections, protocol errors).
-    Ready(Result<Json, ServeError>),
-    /// Executing (or queued) on the pool; resolved by the writer.
-    Running(Arc<Job>, Instant),
 }
 
 /// A running batch service. Dropping the handle does **not** stop the
@@ -344,9 +321,8 @@ enum PendingKind {
 /// [`Server::stop`] for both).
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
     dispatcher: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -371,55 +347,40 @@ impl Server {
         handler: Handler,
         stats_ext: Option<StatsHook>,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-        let addr = listener.local_addr()?;
+        let (listener, front) = Front::bind(&config.host, config.port)?;
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
+            front,
             handler,
-            addr,
             backlog: config.backlog.max(1),
             timeout_ms: config.timeout_ms.max(1),
             workers,
-            shutdown: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             rejected_overload: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            open_connections: AtomicUsize::new(0),
             expired_skipped: AtomicU64::new(0),
-            stats: Mutex::new(Stats::default()),
+            verbs: Mutex::new(BTreeMap::new()),
             stats_ext,
-            started: Instant::now(),
-            server_id: fresh_server_id(),
-            started_at_ms: wall_clock_ms(),
         });
         // The dispatcher thread owns the pool: jobs reach it over a
         // channel whose senders are held by the acceptor and the
-        // connection readers, so the pool is dropped (draining its queue)
+        // connections, so the pool is dropped (draining its queue)
         // exactly when the last connection is done — never from inside
         // one of its own workers.
-        let (jobs_tx, jobs_rx) = channel::<Box<dyn FnOnce() + Send>>();
+        let (jobs_tx, jobs_rx) = channel::<Task>();
         let dispatcher = thread::Builder::new()
             .name("amnesiac-serve-dispatch".into())
             .spawn(move || dispatcher_loop(workers, jobs_rx))?;
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            thread::Builder::new()
-                .name("amnesiac-serve-accept".into())
-                .spawn(move || acceptor_loop(listener, shared, conns, jobs_tx))?
-        };
+        let acceptor = Acceptor::spawn(listener, Arc::clone(&shared), move || jobs_tx.clone())?;
         Ok(Server {
             shared,
-            acceptor: Some(acceptor),
+            acceptor,
             dispatcher: Some(dispatcher),
-            conns,
         })
     }
 
     /// The bound address (read this when `port` was 0).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.front.addr
     }
 
     /// Begins a graceful shutdown: stop accepting, refuse new requests,
@@ -440,8 +401,7 @@ impl Server {
     /// number of live connections instead of growing by one per
     /// connection ever accepted — soak tests assert exactly that bound.
     pub fn tracked_connections(&self) -> usize {
-        reap_finished(&self.conns);
-        lock(&self.conns).len()
+        self.acceptor.tracked()
     }
 
     /// Waits until the acceptor, every connection, and the worker pool
@@ -450,15 +410,7 @@ impl Server {
     /// server handle stays usable afterwards (e.g. for a final
     /// [`Server::stats_json`] snapshot); a second call is a no-op.
     pub fn join(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        loop {
-            let Some(conn) = lock(&self.conns).pop() else {
-                break;
-            };
-            let _ = conn.join();
-        }
+        self.acceptor.join();
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
         }
@@ -471,322 +423,10 @@ impl Server {
     }
 }
 
-fn dispatcher_loop(workers: usize, jobs: Receiver<Box<dyn FnOnce() + Send>>) {
+fn dispatcher_loop(workers: usize, jobs: Receiver<Task>) {
     let pool = Pool::new(workers);
     for job in jobs {
         pool.spawn(job);
     }
     // Pool drop drains still-queued jobs before joining its workers.
-}
-
-fn acceptor_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    jobs_tx: Sender<Box<dyn FnOnce() + Send>>,
-) {
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            // Transient failure (EMFILE under load, a reset mid-handshake):
-            // count it and pause before retrying so an error streak does
-            // not pin a core at 100%.
-            shared.accept_errors.fetch_add(1, Ordering::AcqRel);
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            thread::sleep(backoff);
-            backoff = next_accept_backoff(backoff);
-            continue;
-        };
-        backoff = ACCEPT_BACKOFF_MIN;
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Includes the self-connection `begin_shutdown` used as a wakeup.
-            break;
-        }
-        // Reap connections that already wound down, so a long-running
-        // server holds handles only for live connections rather than one
-        // per connection ever accepted.
-        reap_finished(&conns);
-        shared.open_connections.fetch_add(1, Ordering::AcqRel);
-        let conn_shared = Arc::clone(&shared);
-        let conn_jobs = jobs_tx.clone();
-        match thread::Builder::new()
-            .name("amnesiac-serve-conn".into())
-            .spawn(move || serve_connection(conn_shared, stream, conn_jobs))
-        {
-            Ok(handle) => lock(&conns).push(handle),
-            Err(_) => {
-                // Thread exhaustion: drop the connection unserved and count
-                // it like an accept failure (same transient-pressure class).
-                shared.open_connections.fetch_sub(1, Ordering::AcqRel);
-                shared.accept_errors.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-    }
-}
-
-/// Removes and joins every finished connection handle. The join is
-/// outside the lock (it is prompt — the threads are already done — but
-/// there is no reason to hold up the acceptor's critical section for it).
-fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
-    let finished: Vec<JoinHandle<()>> = {
-        let mut guard = lock(conns);
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < guard.len() {
-            if guard[i].is_finished() {
-                out.push(guard.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        out
-    };
-    for handle in finished {
-        let _ = handle.join();
-    }
-}
-
-fn serve_connection(
-    shared: Arc<Shared>,
-    stream: TcpStream,
-    jobs_tx: Sender<Box<dyn FnOnce() + Send>>,
-) {
-    // Balances the acceptor's increment on every exit path.
-    struct OpenGuard(Arc<Shared>);
-    impl Drop for OpenGuard {
-        fn drop(&mut self) {
-            self.0.open_connections.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    let _open = OpenGuard(Arc::clone(&shared));
-    // Short read timeouts turn the blocking reader into a poll loop that
-    // notices the shutdown flag; writes stay blocking.
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let Ok(write_stream) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = channel::<PendingResponse>();
-    let writer = {
-        let shared = Arc::clone(&shared);
-        let spawned = thread::Builder::new()
-            .name("amnesiac-serve-write".into())
-            .spawn(move || writer_loop(shared, write_stream, rx));
-        match spawned {
-            Ok(handle) => handle,
-            // No writer means no way to answer: close the connection.
-            Err(_) => return,
-        }
-    };
-    reader_loop(&shared, stream, &jobs_tx, &tx);
-    drop(tx); // close the writer's queue so it drains and exits
-    let _ = writer.join();
-}
-
-fn reader_loop(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    jobs_tx: &Sender<Box<dyn FnOnce() + Send>>,
-    tx: &Sender<PendingResponse>,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut buf) {
-            // A timeout: keep any partial line accumulated so far and
-            // poll again, unless the server is draining.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) | Ok(0) => return, // connection error or clean EOF
-            Ok(_) => {
-                if buf.last() != Some(&b'\n') {
-                    // EOF mid-line: process what we got, then close.
-                    process_line(shared, jobs_tx, tx, &buf);
-                    return;
-                }
-                process_line(shared, jobs_tx, tx, &buf);
-                buf.clear();
-            }
-        }
-    }
-}
-
-fn process_line(
-    shared: &Arc<Shared>,
-    jobs_tx: &Sender<Box<dyn FnOnce() + Send>>,
-    tx: &Sender<PendingResponse>,
-    raw: &[u8],
-) {
-    let line = String::from_utf8_lossy(raw);
-    let line = line.trim();
-    if line.is_empty() {
-        return; // blank keep-alive lines are ignored
-    }
-    let received = Instant::now();
-    let request = match Request::parse_line(line) {
-        Ok(request) => request,
-        Err(error) => {
-            let _ = tx.send(PendingResponse {
-                id: Json::Null,
-                verb: "?".to_string(),
-                received,
-                routing_key: None,
-                kind: PendingKind::Ready(Err(error)),
-            });
-            return;
-        }
-    };
-    let routing_key = (request.proto_version() >= 2).then(|| request.routing_key());
-    let kind = dispatch(shared, jobs_tx, &request);
-    let _ = tx.send(PendingResponse {
-        id: request.id,
-        verb: request.verb,
-        received,
-        routing_key,
-        kind,
-    });
-}
-
-/// Decides what happens to one parsed request: answered inline (server
-/// verbs, rejections) or admitted and queued on the pool.
-fn dispatch(
-    shared: &Arc<Shared>,
-    jobs_tx: &Sender<Box<dyn FnOnce() + Send>>,
-    request: &Request,
-) -> PendingKind {
-    match request.verb.as_str() {
-        "stats" => PendingKind::Ready(Ok(shared.stats_json())),
-        "shutdown" => {
-            let ready = PendingKind::Ready(Ok(Json::obj().with("draining", true)));
-            shared.begin_shutdown();
-            ready
-        }
-        _ if shared.shutdown.load(Ordering::SeqCst) => PendingKind::Ready(Err(ServeError::new(
-            code::SHUTTING_DOWN,
-            "server is draining and refuses new work",
-        ))),
-        _ => {
-            if !shared.try_admit() {
-                shared.rejected_overload.fetch_add(1, Ordering::AcqRel);
-                return PendingKind::Ready(Err(ServeError::new(
-                    code::OVERLOADED,
-                    format!("backlog full ({} requests in flight)", shared.backlog),
-                )));
-            }
-            let job = Arc::new(Job::new());
-            let deadline = Instant::now()
-                + Duration::from_millis(request.timeout_ms.unwrap_or(shared.timeout_ms));
-            let task = {
-                let job = Arc::clone(&job);
-                let shared = Arc::clone(shared);
-                let request = request.clone();
-                Box::new(move || {
-                    // A request whose deadline passed while it was still
-                    // queued is cancelled outright — never executed. The
-                    // writer sets `cancelled` when it observes the timeout,
-                    // but it can only do so after resolving every earlier
-                    // response on its connection; the deadline check covers
-                    // the window where an expired job reaches a worker
-                    // before the writer got that far, so a pile-up of
-                    // expired queued requests never burns worker time.
-                    if job.cancelled.load(Ordering::Acquire) || Instant::now() >= deadline {
-                        shared.expired_skipped.fetch_add(1, Ordering::AcqRel);
-                    } else {
-                        let outcome = catch_unwind(AssertUnwindSafe(|| (shared.handler)(&request)))
-                            .unwrap_or_else(|_| {
-                                Err(ServeError::new(
-                                    code::INTERNAL,
-                                    format!("handler panicked on verb `{}`", request.verb),
-                                ))
-                            });
-                        job.complete(outcome);
-                    }
-                    shared.release();
-                }) as Box<dyn FnOnce() + Send>
-            };
-            if jobs_tx.send(task).is_err() {
-                // Dispatcher gone: only possible mid-shutdown.
-                shared.release();
-                return PendingKind::Ready(Err(ServeError::new(
-                    code::SHUTTING_DOWN,
-                    "server is draining and refuses new work",
-                )));
-            }
-            PendingKind::Running(job, deadline)
-        }
-    }
-}
-
-fn writer_loop(shared: Arc<Shared>, mut stream: TcpStream, rx: Receiver<PendingResponse>) {
-    let mut broken = false;
-    for pending in rx {
-        let result = match pending.kind {
-            PendingKind::Ready(result) => result,
-            PendingKind::Running(job, deadline) => match job.wait_until(deadline) {
-                Some(result) => result,
-                None => {
-                    job.cancelled.store(true, Ordering::Release);
-                    Err(ServeError::new(
-                        code::TIMEOUT,
-                        format!(
-                            "request exceeded its {} ms deadline",
-                            (deadline - pending.received).as_millis()
-                        ),
-                    ))
-                }
-            },
-        };
-        let elapsed_ms = pending.received.elapsed().as_secs_f64() * 1e3;
-        shared.record(&pending.verb, &result, elapsed_ms);
-        if broken {
-            continue; // client is gone; keep draining so jobs are released
-        }
-        let response = Response {
-            id: pending.id,
-            verb: pending.verb,
-            elapsed_ms,
-            result,
-            meta: pending
-                .routing_key
-                .map(|key| RouteMeta::local(key, "serve", elapsed_ms)),
-        };
-        let mut line = response.to_json().compact();
-        line.push('\n');
-        if stream.write_all(line.as_bytes()).is_err() || stream.flush().is_err() {
-            broken = true;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accept_backoff_doubles_and_caps() {
-        let mut backoff = ACCEPT_BACKOFF_MIN;
-        let mut seen = vec![backoff];
-        for _ in 0..10 {
-            backoff = next_accept_backoff(backoff);
-            seen.push(backoff);
-        }
-        // strictly doubling until the cap, then pinned at the cap
-        for pair in seen.windows(2) {
-            assert!(pair[1] >= pair[0], "backoff never shrinks: {seen:?}");
-            assert!(pair[1] <= ACCEPT_BACKOFF_MAX, "capped: {seen:?}");
-        }
-        assert_eq!(seen[1], ACCEPT_BACKOFF_MIN * 2);
-        assert_eq!(*seen.last().unwrap(), ACCEPT_BACKOFF_MAX);
-    }
 }

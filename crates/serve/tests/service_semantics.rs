@@ -1,13 +1,20 @@
 //! End-to-end socket tests of the service semantics — backpressure,
 //! deadlines, cancellation, ordering, stats, and graceful shutdown —
-//! using a controllable toy handler so timings are deterministic.
+//! using a controllable toy handler so timings are deterministic. The
+//! connection-level tests (framing, ordering, bad lines, acceptor
+//! counters, shutdown) run against both front ends: a server, and a
+//! router over two in-process servers.
 
+use std::io::{BufRead as _, Write as _};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use amnesiac_serve::{code, Client, Handler, Request, Server, ServerConfig};
+use amnesiac_serve::{
+    code, Client, Handler, Request, Response, Router, RouterConfig, Server, ServerConfig,
+};
 use amnesiac_telemetry::Json;
 
 /// A handler with four verbs: `echo` (returns its target), `block`
@@ -91,6 +98,96 @@ fn echo_server(
     (server, release, entered, executed)
 }
 
+/// Which front end a connection-level test talks to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Server,
+    Router,
+}
+
+const KINDS: [Kind; 2] = [Kind::Server, Kind::Router];
+
+/// A running front end: one server, or a router over two servers that
+/// share one gated handler (so `release`/`entered` work whichever
+/// worker a request lands on).
+struct Front {
+    router: Option<Router>,
+    servers: Vec<Server>,
+}
+
+impl Front {
+    fn addr(&self) -> SocketAddr {
+        match &self.router {
+            Some(router) => router.addr(),
+            None => self.servers[0].addr(),
+        }
+    }
+
+    /// Waits for a shutdown that was already asked for over the wire (a
+    /// router's `shutdown` drains its workers too).
+    fn join(self) {
+        if let Some(mut router) = self.router {
+            router.join();
+        }
+        for mut server in self.servers {
+            server.join();
+        }
+    }
+
+    fn stop(self) {
+        if let Some(router) = &self.router {
+            router.shutdown();
+        }
+        for server in &self.servers {
+            server.shutdown();
+        }
+        self.join();
+    }
+}
+
+fn echo_front(
+    kind: Kind,
+    workers: usize,
+    backlog: usize,
+    timeout_ms: u64,
+) -> (
+    Front,
+    Sender<()>,
+    std::sync::mpsc::Receiver<()>,
+    Arc<AtomicUsize>,
+) {
+    let (handler, release, entered, executed) = gated_handler();
+    let config = ServerConfig {
+        workers,
+        backlog,
+        timeout_ms,
+        ..ServerConfig::default()
+    };
+    let count = if kind == Kind::Router { 2 } else { 1 };
+    let servers: Vec<Server> = (0..count)
+        .map(|_| {
+            Server::start(config.clone(), Arc::clone(&handler))
+                .expect("server starts on an ephemeral port")
+        })
+        .collect();
+    let router = (kind == Kind::Router).then(|| {
+        let addrs: Vec<SocketAddr> = servers.iter().map(Server::addr).collect();
+        let config = RouterConfig {
+            timeout_ms,
+            ..RouterConfig::default()
+        };
+        Router::start(config, &addrs).expect("router starts on an ephemeral port")
+    });
+    (Front { router, servers }, release, entered, executed)
+}
+
+/// Reads one response line from a raw socket.
+fn read_response(reader: &mut impl std::io::BufRead) -> Response {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    Response::parse_line(line.trim()).unwrap()
+}
+
 #[test]
 fn echo_round_trip_and_id_correlation() {
     let (server, _release, _entered, _executed) = echo_server(2, 8, 5_000);
@@ -115,25 +212,31 @@ fn echo_round_trip_and_id_correlation() {
 
 #[test]
 fn pipelined_batch_keeps_request_order() {
-    let (server, _release, _entered, _executed) = echo_server(4, 32, 5_000);
-    let mut client = Client::connect(server.addr()).unwrap();
-    let requests: Vec<Request> = (0..20u64)
-        .map(|i| Request::new("echo").with_id(i).with_target(format!("t{i}")))
-        .collect();
-    let responses = client.batch(&requests).unwrap();
-    assert_eq!(responses.len(), 20);
-    for (i, response) in responses.iter().enumerate() {
-        assert_eq!(response.id, Json::Num(i as f64), "order preserved");
-        assert_eq!(
-            response
-                .payload()
-                .unwrap()
-                .get("target")
-                .and_then(Json::as_str),
-            Some(format!("t{i}").as_str())
-        );
+    for kind in KINDS {
+        let (front, _release, _entered, _executed) = echo_front(kind, 4, 32, 5_000);
+        let mut client = Client::connect(front.addr()).unwrap();
+        let requests: Vec<Request> = (0..20u64)
+            .map(|i| Request::new("echo").with_id(i).with_target(format!("t{i}")))
+            .collect();
+        let responses = client.batch(&requests).unwrap();
+        assert_eq!(responses.len(), 20);
+        for (i, response) in responses.iter().enumerate() {
+            assert_eq!(
+                response.id,
+                Json::Num(i as f64),
+                "{kind:?}: order preserved"
+            );
+            assert_eq!(
+                response
+                    .payload()
+                    .unwrap()
+                    .get("target")
+                    .and_then(Json::as_str),
+                Some(format!("t{i}").as_str())
+            );
+        }
+        front.stop();
     }
-    server.stop();
 }
 
 #[test]
@@ -306,28 +409,78 @@ fn handler_panic_is_an_internal_error_not_a_dead_server() {
 
 #[test]
 fn bad_lines_get_structured_bad_request_errors() {
-    use std::io::Write as _;
-    let (server, _release, _entered, _executed) = echo_server(1, 4, 5_000);
-    let mut client = Client::connect(server.addr()).unwrap();
-    // Raw garbage through the client's socket, then a valid request.
-    // (Reach under the protocol client with a second raw connection.)
-    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
-    raw.write_all(b"this is not json\n{\"no_verb\":1}\n")
-        .unwrap();
-    raw.flush().unwrap();
-    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-    for _ in 0..2 {
-        let mut line = String::new();
-        std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
-        let response = amnesiac_serve::Response::parse_line(line.trim()).unwrap();
-        assert_eq!(response.error().unwrap().code, code::BAD_REQUEST);
+    for kind in KINDS {
+        let (front, _release, _entered, _executed) = echo_front(kind, 1, 4, 5_000);
+        let mut client = Client::connect(front.addr()).unwrap();
+        // Raw garbage through the client's socket, then a valid request.
+        // (Reach under the protocol client with a second raw connection.)
+        let mut raw = std::net::TcpStream::connect(front.addr()).unwrap();
+        raw.write_all(b"this is not json\n{\"no_verb\":1}\n")
+            .unwrap();
+        raw.flush().unwrap();
+        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+        for _ in 0..2 {
+            let response = read_response(&mut reader);
+            assert_eq!(
+                response.error().unwrap().code,
+                code::BAD_REQUEST,
+                "{kind:?}"
+            );
+        }
+        // The protocol client still works against the same front end.
+        assert!(client
+            .call(&Request::new("echo").with_id(1u64))
+            .unwrap()
+            .is_ok());
+        front.stop();
     }
-    // The protocol client still works against the same server.
-    assert!(client
-        .call(&Request::new("echo").with_id(1u64))
-        .unwrap()
-        .is_ok());
-    server.stop();
+}
+
+#[test]
+fn blank_keep_alive_lines_are_ignored() {
+    for kind in KINDS {
+        let (front, _release, _entered, _executed) = echo_front(kind, 1, 4, 5_000);
+        let mut raw = std::net::TcpStream::connect(front.addr()).unwrap();
+        raw.write_all(b"\n  \r\n{\"verb\":\"echo\",\"id\":7}\n\n{\"verb\":\"echo\",\"id\":8}\n")
+            .unwrap();
+        raw.flush().unwrap();
+        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+        // Exactly one answer per request line, none for the blank ones.
+        for id in [7.0, 8.0] {
+            let response = read_response(&mut reader);
+            assert!(response.is_ok(), "{kind:?}: {:?}", response.error());
+            assert_eq!(response.id, Json::Num(id), "{kind:?}");
+        }
+        front.stop();
+    }
+}
+
+#[test]
+fn a_request_cut_off_by_eof_is_still_answered() {
+    for kind in KINDS {
+        let (front, _release, _entered, _executed) = echo_front(kind, 1, 4, 5_000);
+        let mut raw = std::net::TcpStream::connect(front.addr()).unwrap();
+        // No trailing newline: the peer closes its write half mid-line.
+        raw.write_all(b"{\"verb\":\"echo\",\"id\":5,\"target\":\"tail\"}")
+            .unwrap();
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reader = std::io::BufReader::new(raw);
+        let response = read_response(&mut reader);
+        assert!(response.is_ok(), "{kind:?}: {:?}", response.error());
+        assert_eq!(response.id, Json::Num(5.0), "{kind:?}");
+        assert_eq!(
+            response
+                .payload()
+                .unwrap()
+                .get("target")
+                .and_then(Json::as_str),
+            Some("tail")
+        );
+        // ...and then the connection closes.
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "{kind:?}: {rest}");
+        front.stop();
+    }
 }
 
 #[test]
@@ -504,62 +657,76 @@ fn stats_carries_the_acceptor_health_counters() {
     // `accept_errors` counts transient accept() failures (each of which
     // now also costs the acceptor a backoff pause instead of a busy-spin);
     // on a healthy listener it must exist and be zero.
-    let (server, _release, _entered, _executed) = echo_server(1, 4, 5_000);
-    let mut client = Client::connect(server.addr()).unwrap();
-    let stats = client.call(&Request::new("stats")).unwrap();
-    let payload = stats.payload().unwrap().clone();
-    assert_eq!(
-        payload.get("accept_errors").and_then(Json::as_f64),
-        Some(0.0)
-    );
-    assert_eq!(
-        payload.get("expired_skipped").and_then(Json::as_f64),
-        Some(0.0)
-    );
-    assert!(payload
-        .get("open_connections")
-        .and_then(Json::as_f64)
-        .is_some_and(|n| n >= 1.0));
-    server.stop();
+    for kind in KINDS {
+        let (front, _release, _entered, _executed) = echo_front(kind, 1, 4, 5_000);
+        let mut client = Client::connect(front.addr()).unwrap();
+        let stats = client.call(&Request::new("stats")).unwrap();
+        let payload = stats.payload().unwrap().clone();
+        assert_eq!(
+            payload.get("accept_errors").and_then(Json::as_f64),
+            Some(0.0),
+            "{kind:?}"
+        );
+        if kind == Kind::Server {
+            assert_eq!(
+                payload.get("expired_skipped").and_then(Json::as_f64),
+                Some(0.0)
+            );
+        }
+        assert!(
+            payload
+                .get("open_connections")
+                .and_then(Json::as_f64)
+                .is_some_and(|n| n >= 1.0),
+            "{kind:?}"
+        );
+        front.stop();
+    }
 }
 
 #[test]
 fn shutdown_drains_in_flight_and_refuses_new_work() {
-    let (mut server, release, entered, _executed) = echo_server(1, 8, 60_000);
-    let addr = server.addr();
-    let mut worker_client = Client::connect(addr).unwrap();
-    worker_client
-        .send(&Request::new("block").with_id(1u64))
-        .unwrap();
-    entered.recv_timeout(Duration::from_secs(5)).unwrap();
+    for kind in KINDS {
+        let (front, release, entered, _executed) = echo_front(kind, 1, 8, 60_000);
+        let addr = front.addr();
+        let mut worker_client = Client::connect(addr).unwrap();
+        worker_client
+            .send(&Request::new("block").with_id(1u64))
+            .unwrap();
+        entered.recv_timeout(Duration::from_secs(5)).unwrap();
 
-    // Ask for shutdown over the wire while a request is in flight.
-    let mut admin = Client::connect(addr).unwrap();
-    let response = admin.call(&Request::new("shutdown")).unwrap();
-    assert!(response.is_ok());
-    assert_eq!(
-        response.payload().unwrap().get("draining"),
-        Some(&Json::Bool(true))
-    );
+        // Ask for shutdown over the wire while a request is in flight.
+        let mut admin = Client::connect(addr).unwrap();
+        let response = admin.call(&Request::new("shutdown")).unwrap();
+        assert!(response.is_ok(), "{kind:?}");
+        assert_eq!(
+            response.payload().unwrap().get("draining"),
+            Some(&Json::Bool(true))
+        );
 
-    // New work on an existing connection is refused while draining.
-    let refused = admin.call(&Request::new("echo").with_id(9u64)).unwrap();
-    assert_eq!(refused.error().unwrap().code, code::SHUTTING_DOWN);
+        // New work on an existing connection is refused while draining.
+        let refused = admin.call(&Request::new("echo").with_id(9u64)).unwrap();
+        assert_eq!(
+            refused.error().unwrap().code,
+            code::SHUTTING_DOWN,
+            "{kind:?}"
+        );
 
-    // The in-flight request still completes and is delivered.
-    release.send(()).unwrap();
-    let drained = worker_client.recv().unwrap();
-    assert!(
-        drained.is_ok(),
-        "in-flight request drained: {:?}",
-        drained.error()
-    );
-    assert_eq!(drained.id, Json::Num(1.0));
+        // The in-flight request still completes and is delivered.
+        release.send(()).unwrap();
+        let drained = worker_client.recv().unwrap();
+        assert!(
+            drained.is_ok(),
+            "{kind:?}: in-flight request drained: {:?}",
+            drained.error()
+        );
+        assert_eq!(drained.id, Json::Num(1.0));
 
-    // join() returns because every connection winds down after the flag.
-    drop(worker_client);
-    drop(admin);
-    server.join();
+        // join() returns because every connection winds down after the flag.
+        drop(worker_client);
+        drop(admin);
+        front.join();
+    }
 }
 
 #[test]
