@@ -156,23 +156,21 @@ fn flatten(insts: &[DecodedInst]) -> TapeBlock {
 }
 
 /// The full program as tape blocks, in linear pc order (so the sweep
-/// retires the exact stream the other two arms do). Pcs outside every
-/// block — the `RTN` trailing each slice body — ride singleton tapes.
+/// retires the exact stream the other two arms do). Main code rides one
+/// tape per block; slice-body pcs, which form no blocks, ride singleton
+/// tapes.
 fn build_tape(table: &BlockTable) -> Vec<TapeBlock> {
     let decoded = table.decoded();
     let mut tape = Vec::new();
     let mut pc = 0;
     while pc < decoded.len() {
-        match table.block_of_pc(pc) {
-            Some(b) if b.start == pc => {
-                tape.push(flatten(&decoded[b.start..b.end]));
-                pc = b.end;
-            }
-            _ => {
-                tape.push(flatten(&decoded[pc..pc + 1]));
-                pc += 1;
-            }
-        }
+        let end = if pc < table.code_len() {
+            table.main_block(pc).end
+        } else {
+            pc + 1
+        };
+        tape.push(flatten(&decoded[pc..end]));
+        pc = end;
     }
     tape
 }
@@ -226,11 +224,10 @@ fn main() {
 
     let stats = table.stats();
     println!(
-        "fusion: {} blocks (+{} slice bodies), {} insts, {} pairs fused \
+        "fusion: {} blocks, {} insts, {} pairs fused \
          (cmp_branch {}, load_alu {}, alui_store {}, li_alu {}), \
          avg block len {:.2}",
         stats.blocks,
-        stats.slice_blocks,
         stats.insts,
         stats.fused_pairs(),
         stats.fused_of(Fusion::CmpBranch),
@@ -249,7 +246,6 @@ fn main() {
             "fusion",
             Json::obj()
                 .with("blocks", stats.blocks)
-                .with("slice_blocks", stats.slice_blocks)
                 .with("insts", stats.insts)
                 .with("fused_pairs", stats.fused_pairs())
                 .with("fused_by_kind", by_kind)

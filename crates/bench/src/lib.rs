@@ -17,8 +17,8 @@
 //! `amnesiac-experiments` binaries (`cargo run --release -p
 //! amnesiac-experiments --bin all`); these benches track the harness's own
 //! performance and act as end-to-end smoke tests under `cargo bench`.
-//! For the committed perf trajectory see `amnesiac bench-snapshot`
-//! (`BENCH_seed.json` at the repository root).
+//! For the committed, CI-gated baseline see `amnesiac bench-snapshot` and
+//! `amnesiac bench-compare` (`BENCH_paper.json` at the repository root).
 
 use std::time::Instant;
 

@@ -18,10 +18,9 @@
 //! Fusion never crosses a leader (a fused pair lives entirely inside one
 //! block), so control transfers — which always land on leaders — can never
 //! enter the middle of a superinstruction. Slice bodies past
-//! [`Program::code_len`] are lowered too (one unfused block per slice, since
-//! each slice instruction is paired with a per-position operand plan that
-//! the traversal engines walk in lock-step), so slice traversal indexes the
-//! same predecoded stream.
+//! [`Program::code_len`] form no blocks: slice traversal walks them
+//! instruction by instruction, in lock-step with each slice's operand plan,
+//! over the same predecoded stream ([`BlockTable::decoded`]).
 //!
 //! Nothing is pre-summed per block: the simulators' *energy* tape is
 //! order-sensitive (f64 accumulation), so the engine charges every
@@ -30,10 +29,6 @@
 use amnesiac_isa::{predecode, DecodedInst, DecodedOp, Program};
 
 use crate::graph::leaders;
-
-/// Sentinel in the pc→block map for pcs outside every block (e.g. the `RTN`
-/// trailing a slice body, or slice pcs of a malformed binary).
-const NO_BLOCK: u32 = u32::MAX;
 
 /// The superinstruction patterns recognised by the lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,16 +78,6 @@ pub struct BlockInst {
     pub fused: Option<Fusion>,
 }
 
-/// Whether a block lowers main code or a slice body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockKind {
-    /// A main-code basic block (fusion enabled).
-    Main,
-    /// A slice compute body (never fused: each instruction is walked in
-    /// lock-step with its per-position operand plan).
-    SliceBody,
-}
-
 /// A lowered basic block: a straight-line run of dispatch units.
 ///
 /// Control only enters at `start` (a leader) and only leaves after the last
@@ -107,8 +92,6 @@ pub struct DecodedBlock {
     /// Range into the table's shared unit stream ([`BlockTable::units`]);
     /// the units' pcs cover `[start, end)` in program order.
     units: (u32, u32),
-    /// Main code or slice body.
-    pub kind: BlockKind,
 }
 
 impl DecodedBlock {
@@ -130,8 +113,6 @@ pub struct FusionStats {
     pub blocks: u64,
     /// Main-code instructions covered.
     pub insts: u64,
-    /// Slice-body blocks formed.
-    pub slice_blocks: u64,
     /// Pairs fused, indexed by [`Fusion::ALL`] order.
     pub fused: [u64; 4],
 }
@@ -165,18 +146,15 @@ impl FusionStats {
     }
 }
 
-/// The block-lowered form of a whole program: main-code superblocks plus one
-/// unfused block per slice body, over an owned copy of the predecoded
-/// stream.
+/// The block-lowered form of a whole program: main-code superblocks over an
+/// owned copy of the full predecoded stream (main code and slice bodies).
 #[derive(Debug, Clone)]
 pub struct BlockTable {
     blocks: Vec<DecodedBlock>,
     /// All blocks' dispatch units, concatenated (one allocation for the
     /// whole program; blocks hold ranges into it).
     units: Vec<BlockInst>,
-    /// pc → index into `blocks`, for every pc of the full stream;
-    /// `NO_BLOCK` for pcs outside every block (slice `RTN`s, malformed
-    /// regions).
+    /// pc → index into `blocks`, for every main-code pc.
     block_at: Vec<u32>,
     /// The full predecoded stream (main code and slice bodies), so slice
     /// traversal indexes the same table the blocks were lowered from.
@@ -186,15 +164,13 @@ pub struct BlockTable {
 }
 
 impl BlockTable {
-    /// Lowers `program` into blocks. Never panics on malformed binaries:
-    /// out-of-range slice metadata simply contributes no block (the
-    /// verifier diagnoses it; the interpreters' fallback paths handle it).
+    /// Lowers the main code of `program` into blocks.
     pub fn build(program: &Program) -> BlockTable {
         let decoded = predecode(program);
         let code_len = program.code_len.min(decoded.len());
         let mut blocks = Vec::new();
-        let mut units = Vec::with_capacity(decoded.len());
-        let mut block_at = vec![NO_BLOCK; decoded.len()];
+        let mut units = Vec::with_capacity(code_len);
+        let mut block_at = vec![0; code_len];
         let mut stats = FusionStats::default();
 
         // Main-code superblocks, partitioned exactly like the verifier's CFG.
@@ -205,34 +181,13 @@ impl BlockTable {
         #[allow(clippy::needless_range_loop)]
         for pc in 1..=code_len {
             if pc == code_len || leader[pc] {
-                let block =
-                    lower_block(&decoded, start, pc, BlockKind::Main, &mut stats, &mut units);
+                let block = lower_block(&decoded, start, pc, &mut stats, &mut units);
                 stats.blocks += 1;
                 stats.insts += block.len() as u64;
                 block_at[start..pc].fill(blocks.len() as u32);
                 blocks.push(block);
                 start = pc;
             }
-        }
-
-        // Slice bodies: one unfused straight-line block per slice.
-        for meta in &program.slices {
-            let body_len = meta.compute_len();
-            let end = meta.entry.saturating_add(body_len);
-            if meta.entry < code_len || end > decoded.len() || body_len == 0 {
-                continue; // malformed or empty; the verifier reports it
-            }
-            let block = lower_block(
-                &decoded,
-                meta.entry,
-                end,
-                BlockKind::SliceBody,
-                &mut stats,
-                &mut units,
-            );
-            stats.slice_blocks += 1;
-            block_at[meta.entry..end].fill(blocks.len() as u32);
-            blocks.push(block);
         }
 
         BlockTable {
@@ -255,25 +210,13 @@ impl BlockTable {
     pub fn main_block(&self, pc: usize) -> &DecodedBlock {
         let b = &self.blocks[self.block_at[pc] as usize];
         debug_assert_eq!(b.start, pc, "control transfer into the middle of a block");
-        debug_assert_eq!(b.kind, BlockKind::Main);
         b
-    }
-
-    /// The block containing `pc`, if any (slice `RTN` pcs have none).
-    pub fn block_of_pc(&self, pc: usize) -> Option<&DecodedBlock> {
-        let idx = *self.block_at.get(pc)?;
-        (idx != NO_BLOCK).then(|| &self.blocks[idx as usize])
     }
 
     /// A block's dispatch units, in program order.
     #[inline]
     pub fn units(&self, block: &DecodedBlock) -> &[BlockInst] {
         &self.units[block.units.0 as usize..block.units.1 as usize]
-    }
-
-    /// All blocks: main code in ascending `start` order, then slice bodies.
-    pub fn blocks(&self) -> &[DecodedBlock] {
-        &self.blocks
     }
 
     /// The full predecoded stream the table was lowered from.
@@ -316,7 +259,6 @@ fn lower_block(
     decoded: &[DecodedInst],
     start: usize,
     end: usize,
-    kind: BlockKind,
     stats: &mut FusionStats,
     units: &mut Vec<BlockInst>,
 ) -> DecodedBlock {
@@ -324,7 +266,7 @@ fn lower_block(
     let mut pc = start;
     while pc < end {
         let d = &decoded[pc];
-        let fused = if kind == BlockKind::Main && pc + 1 < end {
+        let fused = if pc + 1 < end {
             fuse_pair(d, &decoded[pc + 1])
         } else {
             None
@@ -351,7 +293,6 @@ fn lower_block(
         start,
         end,
         units: (first_unit, units.len() as u32),
-        kind,
     }
 }
 
@@ -480,52 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_bodies_get_unfused_blocks_on_the_same_table() {
-        // A real annotated binary via the builder + manual slice metadata is
-        // heavyweight here; exercise the lowering through a synthetic
-        // program shaped like one: main code [0,2), slice body [2,4).
-        let mut p = Program::new("slice-test");
-        p.instructions = vec![
-            Instruction::Li {
-                dst: Reg(1),
-                imm: 3,
-            },
-            Instruction::Halt,
-            // slice body: li; alu (would fuse in main code)
-            Instruction::Li {
-                dst: Reg(2),
-                imm: 4,
-            },
-            alu(3),
-            Instruction::Rtn {
-                slice: amnesiac_isa::SliceId(0),
-            },
-        ];
-        p.code_len = 2;
-        p.slices.push(amnesiac_isa::SliceMeta {
-            id: amnesiac_isa::SliceId(0),
-            rcmp_pc: 0,
-            entry: 2,
-            len: 3, // li, alu, rtn
-            root_reg: Reg(3),
-            plans: Vec::new(),
-            leaves: Vec::new(),
-            has_nonrecomputable: false,
-            est_recompute_nj: 0.0,
-            est_load_nj: 0.0,
-            height: 0,
-        });
-        let t = BlockTable::build(&p);
-        assert_eq!(t.stats().slice_blocks, 1);
-        assert_eq!(t.stats().fused_pairs(), 0, "li+halt does not fuse");
-        let body = t.block_of_pc(2).expect("slice body block");
-        assert_eq!(body.kind, BlockKind::SliceBody);
-        assert_eq!(t.units(body).len(), 2, "slice bodies never fuse");
-        assert!(t.block_of_pc(4).is_none(), "RTN rides no block");
-        assert_eq!(t.decoded().len(), 5);
-    }
-
-    #[test]
     fn block_partition_matches_cfg_blocks() {
         let mut b = ProgramBuilder::new("partition");
         b.li(Reg(1), 0);
@@ -541,13 +436,14 @@ mod tests {
         let p = b.finish().unwrap();
         let t = BlockTable::build(&p);
         let cfg = crate::Cfg::build(t.decoded(), p.code_len, p.entry);
-        let main: Vec<_> = t
-            .blocks()
-            .iter()
-            .filter(|b| b.kind == BlockKind::Main)
-            .map(|b| (b.start, b.end))
-            .collect();
-        let graph: Vec<_> = cfg.blocks.iter().map(|b| (b.start, b.end)).collect();
-        assert_eq!(main, graph, "one leader computation, one partition");
+        assert_eq!(t.stats().blocks, cfg.blocks.len() as u64);
+        for b in &cfg.blocks {
+            let block = t.main_block(b.start);
+            assert_eq!(
+                (block.start, block.end),
+                (b.start, b.end),
+                "one leader computation, one partition"
+            );
+        }
     }
 }

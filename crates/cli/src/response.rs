@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use amnesiac_compiler::{CompileReport, SiteOutcome};
 use amnesiac_core::AmnesicRunResult;
-use amnesiac_experiments::regress::{self, Regression, ServeComparison};
+use amnesiac_experiments::regress::Comparison;
 use amnesiac_experiments::{LintSweep, VerifySweep};
 use amnesiac_profile::ProgramProfile;
 use amnesiac_sim::RunResult;
@@ -134,14 +134,13 @@ pub enum Response {
         /// The snapshot document.
         snapshot: Json,
     },
-    /// `bench-compare`: fresh gains diffed against a baseline.
+    /// `bench-compare`: a fresh run diffed against a suite or serve
+    /// baseline.
     BenchCompare {
-        /// Tolerance in percentage points.
-        tolerance_pp: f64,
-        /// Zero-baseline blind-spot warnings.
-        warnings: Vec<String>,
-        /// Every gain that fell beyond the tolerance.
-        regressions: Vec<Regression>,
+        /// Gated regressions plus advisory notes.
+        comparison: Comparison,
+        /// The freshly measured snapshot.
+        current: Json,
     },
     /// `serve`: the service drained and stopped.
     Serve {
@@ -195,16 +194,6 @@ pub enum Response {
         /// Router statistics at the end of the smoke run.
         stats: Json,
     },
-    /// `bench-compare` against a `kind: "serve"` baseline: a fresh
-    /// loadgen replay diffed against the committed service baseline.
-    BenchCompareServe {
-        /// Tolerance in percentage points (applied to the error rate).
-        tolerance_pp: f64,
-        /// Gated regressions plus informational latency notes.
-        comparison: ServeComparison,
-        /// The freshly measured snapshot.
-        current: Json,
-    },
 }
 
 impl Response {
@@ -230,7 +219,6 @@ impl Response {
             Response::LoadgenSmoke { .. } => "loadgen-smoke",
             Response::Cluster { .. } => "cluster",
             Response::ClusterSmoke { .. } => "cluster-smoke",
-            Response::BenchCompareServe { .. } => "bench-compare",
         }
     }
 
@@ -244,11 +232,10 @@ impl Response {
                 !report.verify.is_clean() || report.verify.unexplained_warn_count() > 0
             }
             Response::LintSweep { sweep } => !sweep.is_clean(),
-            Response::BenchCompare { regressions, .. } => !regressions.is_empty(),
+            Response::BenchCompare { comparison, .. } => !comparison.ok(),
             Response::ServeSmoke { failures, .. } => !failures.is_empty(),
             Response::LoadgenSmoke { failures, .. } => !failures.is_empty(),
             Response::ClusterSmoke { failures, .. } => !failures.is_empty(),
-            Response::BenchCompareServe { comparison, .. } => !comparison.ok(),
             _ => false,
         }
     }
@@ -468,18 +455,7 @@ impl Response {
             } => {
                 format!("wrote bench baseline for {n_benches} benchmarks to {path}\n")
             }
-            Response::BenchCompare {
-                tolerance_pp,
-                warnings,
-                regressions,
-            } => {
-                let mut out = String::new();
-                for w in warnings {
-                    let _ = writeln!(out, "warning: {w}");
-                }
-                out.push_str(&regress::render_report(regressions, *tolerance_pp));
-                out
-            }
+            Response::BenchCompare { comparison, .. } => comparison.render(),
             Response::Serve { addr, stats } => {
                 let served = stats
                     .get_path("verbs")
@@ -595,11 +571,6 @@ impl Response {
                 }
                 out
             }
-            Response::BenchCompareServe {
-                tolerance_pp,
-                comparison,
-                ..
-            } => regress::render_serve_report(comparison, *tolerance_pp),
         }
     }
 
@@ -715,10 +686,9 @@ impl Response {
                 .with("n_benches", *n_benches as u64)
                 .with("snapshot", snapshot.clone()),
             Response::BenchCompare {
-                tolerance_pp,
-                warnings,
-                regressions,
-            } => regress::comparison_json(regressions, warnings, *tolerance_pp),
+                comparison,
+                current,
+            } => comparison.to_json().with("current", current.clone()),
             Response::Serve { addr, stats } => Json::obj()
                 .with("addr", addr.as_str())
                 .with("stats", stats.clone()),
@@ -758,12 +728,6 @@ impl Response {
                 .with("checks", *checks as u64)
                 .with("failures", failures.to_vec())
                 .with("stats", stats.clone()),
-            Response::BenchCompareServe {
-                tolerance_pp,
-                comparison,
-                current,
-            } => regress::serve_comparison_json(comparison, *tolerance_pp)
-                .with("current", current.clone()),
         }
     }
 }

@@ -12,8 +12,8 @@
 //! The loadgen verbs live here too: [`run_loadgen`] boots a private
 //! server and drives `amnesiac-loadgen`'s open-loop schedule at it,
 //! [`run_loadgen_smoke`] is the CI soak test over that harness, and
-//! [`run_bench_compare_serve`] replays a committed `BENCH_serve.json`
-//! baseline's exact load and gates the error rate.
+//! [`replay_serve_baseline`] replays a committed `BENCH_serve.json`
+//! baseline's exact load for `bench-compare` to gate.
 
 use std::io::Write as _;
 use std::net::SocketAddr;
@@ -21,7 +21,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use amnesiac_cache::CompileCache;
-use amnesiac_experiments::regress;
 use amnesiac_loadgen::{run_against, LoadgenConfig, Mix};
 use amnesiac_serve::{code, Client, Handler, Request, Response as WireResponse, ServeError};
 use amnesiac_serve::{Server, ServerConfig, StatsHook, WireVerb};
@@ -131,7 +130,6 @@ pub(crate) fn request_command(request: &Request) -> Result<Command, ServeError> 
         paper_scale: false,
         scale,
         json_dir: None,
-        tolerance: None,
         reps: None,
         port: None,
         workers: None,
@@ -744,24 +742,13 @@ pub(crate) fn run_loadgen_smoke(command: &Command) -> Result<Response, CliError>
 
 /// The serve arm of `bench-compare`: replays the committed baseline's
 /// exact load config (schedule and all — it is embedded in the
-/// snapshot) against a freshly booted server, then gates the error rate
-/// while reporting latency deltas as notes.
-pub(crate) fn run_bench_compare_serve(
-    command: &Command,
-    baseline: &Json,
-) -> Result<Response, CliError> {
+/// snapshot) against a freshly booted server and returns the fresh
+/// snapshot for [`amnesiac_experiments::regress::compare`].
+pub(crate) fn replay_serve_baseline(command: &Command, baseline: &Json) -> Result<Json, CliError> {
     let config_json = baseline
         .get("config")
         .ok_or_else(|| CliError::Tool("serve baseline has no `config` object".to_string()))?;
     let config = LoadgenConfig::from_json(config_json)
         .map_err(|e| CliError::Tool(format!("serve baseline: {e}")))?;
-    let current = drive_loadgen(command, &config)?;
-    let tolerance_pp = command.tolerance.unwrap_or(regress::DEFAULT_TOLERANCE_PP);
-    let comparison =
-        regress::compare_serve(baseline, &current, tolerance_pp).map_err(CliError::Tool)?;
-    Ok(Response::BenchCompareServe {
-        tolerance_pp,
-        comparison,
-        current,
-    })
+    drive_loadgen(command, &config)
 }

@@ -47,11 +47,6 @@ pub struct CompileOptions {
     pub max_height: u32,
     /// Maximum compute instructions per slice (ties `SFile`/`IBuff` sizing).
     pub max_slice_insts: usize,
-    /// Run the validation replay and drop any slice that ever fails to
-    /// reproduce the loaded value. Disable only in tests.
-    pub validate: bool,
-    /// Dynamic-instruction fuse for the validation replay.
-    pub replay_fuse: u64,
     /// Let the abstract-interpretation prover (`amnesiac-absint`) skip a
     /// whole-program replay round when every embedded slice is statically
     /// proven replay-equivalent. Never changes the drop set — a proof only
@@ -66,8 +61,6 @@ impl Default for CompileOptions {
             slice_set: SliceSetPolicy::Probabilistic,
             max_height: 48,
             max_slice_insts: 64,
-            validate: true,
-            replay_fuse: 400_000_000,
             static_equivalence: true,
         }
     }
@@ -457,6 +450,9 @@ fn gate_verify(annotated: &Program, table: &BlockTable) -> Result<VerifyReport, 
 /// Cap on whole-program validation replays per compile.
 const MAX_VALIDATION_ROUNDS: u32 = 8;
 
+/// Dynamic-instruction fuse for each validation replay.
+const REPLAY_FUSE: u64 = 400_000_000;
+
 /// `true` when the abstract-interpretation prover certifies every slice of
 /// `annotated` replay-equivalent: each recomputation provably yields the
 /// loaded value on all inputs, so a validation replay cannot drop anything.
@@ -568,13 +564,11 @@ fn validate_specs(
     let mut dropped_pcs: BTreeSet<usize> = BTreeSet::new();
     // Static pre-pass: when every slice is proven replay-equivalent the
     // discovery round cannot drop anything, so it is skipped outright.
-    let statically_proven = options.validate
-        && !specs.is_empty()
-        && options.static_equivalence
-        && all_slices_proven_static(&annotated);
+    let statically_proven =
+        !specs.is_empty() && options.static_equivalence && all_slices_proven_static(&annotated);
     if statically_proven {
         rounds_saved_static += 1;
-    } else if options.validate && !specs.is_empty() {
+    } else if !specs.is_empty() {
         loop {
             rounds += 1;
             let round_dropped = failing_load_pcs(
@@ -582,7 +576,7 @@ fn validate_specs(
                 &annotated,
                 &table,
                 &specs,
-                options.replay_fuse,
+                REPLAY_FUSE,
                 validation_shards(specs.len()),
             )?;
             if round_dropped.is_empty() {
