@@ -181,7 +181,25 @@ fn shutdown_drains_the_in_flight_request_then_refuses_new_work() {
         .send(&Request::new("experiments").with_id("draining"))
         .unwrap();
 
+    // Only admitted requests drain, and `send` returns once the bytes are
+    // written, not once the server has admitted them: wait for the
+    // admission counter (`stats` bypasses the backlog) before `shutdown`.
     let mut admin = Client::connect(addr).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = admin.call(&Request::new("stats")).unwrap();
+        let inflight = stats
+            .payload()
+            .and_then(|p| p.get("inflight").and_then(amnesiac_telemetry::Json::as_f64))
+            .unwrap();
+        if inflight >= 1.0 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the in-flight request was never admitted"
+        );
+    }
     let response = admin.call(&Request::new("shutdown")).unwrap();
     assert!(response.is_ok());
 

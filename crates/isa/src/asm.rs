@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use crate::inst::{AluOp, BranchCond, CvtKind, FpOp, FpUnOp, Instruction};
+use crate::inst::{AluOp, BranchCond, CvtKind, FpOp, FpUnOp, Instruction, SubOp};
 use crate::program::Program;
 use crate::{IsaError, Reg};
 
@@ -167,63 +167,6 @@ fn parse_mem(tok: &str, line: usize) -> Result<(Reg, i64), AsmError> {
     Ok((reg, offset))
 }
 
-fn alu_op(mnemonic: &str) -> Option<AluOp> {
-    Some(match mnemonic {
-        "add" => AluOp::Add,
-        "sub" => AluOp::Sub,
-        "mul" => AluOp::Mul,
-        "div" => AluOp::Div,
-        "rem" => AluOp::Rem,
-        "and" => AluOp::And,
-        "or" => AluOp::Or,
-        "xor" => AluOp::Xor,
-        "shl" => AluOp::Shl,
-        "shr" => AluOp::Shr,
-        "slt" => AluOp::Slt,
-        "sltu" => AluOp::Sltu,
-        "seq" => AluOp::Seq,
-        "min" => AluOp::Min,
-        "max" => AluOp::Max,
-        _ => return None,
-    })
-}
-
-fn fp_op(mnemonic: &str) -> Option<FpOp> {
-    Some(match mnemonic {
-        "fadd" => FpOp::Add,
-        "fsub" => FpOp::Sub,
-        "fmul" => FpOp::Mul,
-        "fdiv" => FpOp::Div,
-        "fmin" => FpOp::Min,
-        "fmax" => FpOp::Max,
-        "flt" => FpOp::Flt,
-        _ => return None,
-    })
-}
-
-fn fp_un_op(mnemonic: &str) -> Option<FpUnOp> {
-    Some(match mnemonic {
-        "fsqrt" => FpUnOp::Sqrt,
-        "fneg" => FpUnOp::Neg,
-        "fabs" => FpUnOp::Abs,
-        "fexp" => FpUnOp::Exp,
-        "fln" => FpUnOp::Ln,
-        _ => return None,
-    })
-}
-
-fn branch_cond(mnemonic: &str) -> Option<BranchCond> {
-    Some(match mnemonic {
-        "beq" => BranchCond::Eq,
-        "bne" => BranchCond::Ne,
-        "blt" => BranchCond::Lt,
-        "bge" => BranchCond::Ge,
-        "bltu" => BranchCond::Ltu,
-        "bgeu" => BranchCond::Geu,
-        _ => return None,
-    })
-}
-
 fn parse_instruction(text: &str, line: usize) -> Result<Instruction, AsmError> {
     let (mnemonic, rest) = match text.split_once(char::is_whitespace) {
         Some((m, r)) => (m, r),
@@ -289,19 +232,15 @@ fn parse_instruction(text: &str, line: usize) -> Result<Instruction, AsmError> {
             c: parse_reg(operands[3], line)?,
         });
     }
-    if mnemonic == "i2f" || mnemonic == "f2i" {
+    if let Some(kind) = CvtKind::from_mnemonic(mnemonic) {
         want(2)?;
         return Ok(Instruction::Cvt {
-            kind: if mnemonic == "i2f" {
-                CvtKind::I2F
-            } else {
-                CvtKind::F2I
-            },
+            kind,
             dst: parse_reg(operands[0], line)?,
             src: parse_reg(operands[1], line)?,
         });
     }
-    if let Some(cond) = branch_cond(mnemonic) {
+    if let Some(cond) = BranchCond::from_mnemonic(mnemonic) {
         want(3)?;
         return Ok(Instruction::Branch {
             cond,
@@ -310,7 +249,7 @@ fn parse_instruction(text: &str, line: usize) -> Result<Instruction, AsmError> {
             target: parse_target(operands[2], line)?,
         });
     }
-    if let Some(op) = fp_un_op(mnemonic) {
+    if let Some(op) = FpUnOp::from_mnemonic(mnemonic) {
         want(2)?;
         return Ok(Instruction::FpuUn {
             op,
@@ -318,7 +257,7 @@ fn parse_instruction(text: &str, line: usize) -> Result<Instruction, AsmError> {
             src: parse_reg(operands[1], line)?,
         });
     }
-    if let Some(op) = fp_op(mnemonic) {
+    if let Some(op) = FpOp::from_mnemonic(mnemonic) {
         want(3)?;
         return Ok(Instruction::Fpu {
             op,
@@ -328,7 +267,7 @@ fn parse_instruction(text: &str, line: usize) -> Result<Instruction, AsmError> {
         });
     }
     // register-immediate forms: `addi`, `muli`, … (op name + `i`)
-    if let Some(op) = mnemonic.strip_suffix('i').and_then(alu_op) {
+    if let Some(op) = mnemonic.strip_suffix('i').and_then(AluOp::from_mnemonic) {
         want(3)?;
         return Ok(Instruction::Alui {
             op,
@@ -337,7 +276,7 @@ fn parse_instruction(text: &str, line: usize) -> Result<Instruction, AsmError> {
             imm: parse_u64(operands[2], line)?,
         });
     }
-    if let Some(op) = alu_op(mnemonic) {
+    if let Some(op) = AluOp::from_mnemonic(mnemonic) {
         want(3)?;
         return Ok(Instruction::Alu {
             op,

@@ -15,7 +15,7 @@
 //! n_slices u32 | slice records
 //! ```
 
-use crate::inst::{AluOp, BranchCond, CvtKind, FpOp, FpUnOp, Instruction};
+use crate::inst::{Instruction, SubOp};
 use crate::program::{LeafInfo, MemRange, OperandPlan, OperandSource, Program, SliceId, SliceMeta};
 use crate::Reg;
 
@@ -108,31 +108,39 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(slice)
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let at = self.pos;
+        let bytes = self
+            .bytes
+            .get(at..)
+            .and_then(<[u8]>::first_chunk)
+            .ok_or(DecodeError::Truncated { at })?;
+        self.pos += N;
+        Ok(*bytes)
+    }
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        self.array().map(u8::from_le_bytes)
     }
     fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        self.array().map(u16::from_le_bytes)
     }
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_le_bytes)
     }
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(u64::from_le_bytes)
     }
     fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(i64::from_le_bytes)
     }
     fn reg(&mut self) -> Result<Reg, DecodeError> {
         Ok(Reg(self.u8()?))
+    }
+    /// A sub-op byte, looked up in its op enum's descriptor table.
+    fn op<T: SubOp>(&mut self) -> Result<T, DecodeError> {
+        let at = self.pos;
+        let byte = self.u8()?;
+        T::from_code(byte).ok_or(DecodeError::BadOpcode { at, byte })
     }
 }
 
@@ -145,28 +153,28 @@ fn encode_instruction(w: &mut Writer, inst: &Instruction) {
         }
         Instruction::Alu { op, dst, lhs, rhs } => {
             w.u8(0x02);
-            w.u8(alu_code(*op));
+            w.u8(op.code());
             w.reg(*dst);
             w.reg(*lhs);
             w.reg(*rhs);
         }
         Instruction::Alui { op, dst, src, imm } => {
             w.u8(0x03);
-            w.u8(alu_code(*op));
+            w.u8(op.code());
             w.reg(*dst);
             w.reg(*src);
             w.u64(*imm);
         }
         Instruction::Fpu { op, dst, lhs, rhs } => {
             w.u8(0x04);
-            w.u8(fp_code(*op));
+            w.u8(op.code());
             w.reg(*dst);
             w.reg(*lhs);
             w.reg(*rhs);
         }
         Instruction::FpuUn { op, dst, src } => {
             w.u8(0x05);
-            w.u8(fp_un_code(*op));
+            w.u8(op.code());
             w.reg(*dst);
             w.reg(*src);
         }
@@ -179,10 +187,7 @@ fn encode_instruction(w: &mut Writer, inst: &Instruction) {
         }
         Instruction::Cvt { kind, dst, src } => {
             w.u8(0x07);
-            w.u8(match kind {
-                CvtKind::I2F => 0,
-                CvtKind::F2I => 1,
-            });
+            w.u8(kind.code());
             w.reg(*dst);
             w.reg(*src);
         }
@@ -205,7 +210,7 @@ fn encode_instruction(w: &mut Writer, inst: &Instruction) {
             target,
         } => {
             w.u8(0x0A);
-            w.u8(cond_code(*cond));
+            w.u8(cond.code());
             w.reg(*lhs);
             w.reg(*rhs);
             w.u32(*target as u32);
@@ -252,25 +257,25 @@ fn decode_instruction(r: &mut Reader<'_>) -> Result<Instruction, DecodeError> {
             imm: r.u64()?,
         },
         0x02 => Instruction::Alu {
-            op: alu_from(r.u8()?, at)?,
+            op: r.op()?,
             dst: r.reg()?,
             lhs: r.reg()?,
             rhs: r.reg()?,
         },
         0x03 => Instruction::Alui {
-            op: alu_from(r.u8()?, at)?,
+            op: r.op()?,
             dst: r.reg()?,
             src: r.reg()?,
             imm: r.u64()?,
         },
         0x04 => Instruction::Fpu {
-            op: fp_from(r.u8()?, at)?,
+            op: r.op()?,
             dst: r.reg()?,
             lhs: r.reg()?,
             rhs: r.reg()?,
         },
         0x05 => Instruction::FpuUn {
-            op: fp_un_from(r.u8()?, at)?,
+            op: r.op()?,
             dst: r.reg()?,
             src: r.reg()?,
         },
@@ -281,11 +286,7 @@ fn decode_instruction(r: &mut Reader<'_>) -> Result<Instruction, DecodeError> {
             c: r.reg()?,
         },
         0x07 => Instruction::Cvt {
-            kind: match r.u8()? {
-                0 => CvtKind::I2F,
-                1 => CvtKind::F2I,
-                byte => return Err(DecodeError::BadOpcode { at, byte }),
-            },
+            kind: r.op()?,
             dst: r.reg()?,
             src: r.reg()?,
         },
@@ -300,7 +301,7 @@ fn decode_instruction(r: &mut Reader<'_>) -> Result<Instruction, DecodeError> {
             offset: r.i64()?,
         },
         0x0A => Instruction::Branch {
-            cond: cond_from(r.u8()?, at)?,
+            cond: r.op()?,
             lhs: r.reg()?,
             rhs: r.reg()?,
             target: r.u32()? as usize,
@@ -320,6 +321,7 @@ fn decode_instruction(r: &mut Reader<'_>) -> Result<Instruction, DecodeError> {
         },
         0x0F => {
             let key = r.u16()?;
+            let at = r.pos;
             let n = r.u8()? as usize;
             if n > 3 {
                 return Err(DecodeError::BadOpcode { at, byte: n as u8 });
@@ -333,84 +335,6 @@ fn decode_instruction(r: &mut Reader<'_>) -> Result<Instruction, DecodeError> {
         byte => return Err(DecodeError::BadOpcode { at, byte }),
     })
 }
-
-macro_rules! code_pairs {
-    ($enc:ident, $dec:ident, $ty:ty, [$(($variant:path, $code:expr)),+ $(,)?]) => {
-        fn $enc(v: $ty) -> u8 {
-            match v {
-                $($variant => $code,)+
-            }
-        }
-        fn $dec(byte: u8, at: usize) -> Result<$ty, DecodeError> {
-            Ok(match byte {
-                $($code => $variant,)+
-                _ => return Err(DecodeError::BadOpcode { at, byte }),
-            })
-        }
-    };
-}
-
-code_pairs!(
-    alu_code,
-    alu_from,
-    AluOp,
-    [
-        (AluOp::Add, 0),
-        (AluOp::Sub, 1),
-        (AluOp::Mul, 2),
-        (AluOp::Div, 3),
-        (AluOp::Rem, 4),
-        (AluOp::And, 5),
-        (AluOp::Or, 6),
-        (AluOp::Xor, 7),
-        (AluOp::Shl, 8),
-        (AluOp::Shr, 9),
-        (AluOp::Slt, 10),
-        (AluOp::Sltu, 11),
-        (AluOp::Seq, 12),
-        (AluOp::Min, 13),
-        (AluOp::Max, 14),
-    ]
-);
-code_pairs!(
-    fp_code,
-    fp_from,
-    FpOp,
-    [
-        (FpOp::Add, 0),
-        (FpOp::Sub, 1),
-        (FpOp::Mul, 2),
-        (FpOp::Div, 3),
-        (FpOp::Min, 4),
-        (FpOp::Max, 5),
-        (FpOp::Flt, 6),
-    ]
-);
-code_pairs!(
-    fp_un_code,
-    fp_un_from,
-    FpUnOp,
-    [
-        (FpUnOp::Sqrt, 0),
-        (FpUnOp::Neg, 1),
-        (FpUnOp::Abs, 2),
-        (FpUnOp::Exp, 3),
-        (FpUnOp::Ln, 4),
-    ]
-);
-code_pairs!(
-    cond_code,
-    cond_from,
-    BranchCond,
-    [
-        (BranchCond::Eq, 0),
-        (BranchCond::Ne, 1),
-        (BranchCond::Lt, 2),
-        (BranchCond::Ge, 3),
-        (BranchCond::Ltu, 4),
-        (BranchCond::Geu, 5),
-    ]
-);
 
 fn encode_source(w: &mut Writer, source: &Option<OperandSource>) {
     match source {
@@ -653,15 +577,41 @@ mod tests {
     #[test]
     fn rejects_bad_opcode() {
         let p = classic();
-        let mut bytes = encode_program(&p);
+        let bytes = encode_program(&p);
         // the first instruction opcode sits after magic+version+name+entry+
-        // code_len+n_inst
-        let offset = 4 + 2 + 2 + p.name.len() + 4 + 4 + 4;
-        bytes[offset] = 0xEE;
-        assert!(matches!(
+        // code_len+n_inst; `li` takes 10 bytes and `ld` 11, so the `xori`
+        // opcode follows at +21 and its sub-op byte at +22
+        let opcode = 4 + 2 + 2 + p.name.len() + 4 + 4 + 4;
+        let sub_op = opcode + 22;
+        assert_eq!(bytes[sub_op], AluOp::Xor.code());
+        for at in [opcode, sub_op] {
+            let mut bad = bytes.clone();
+            bad[at] = 0xEE;
+            assert_eq!(
+                decode_program(&bad),
+                Err(DecodeError::BadOpcode { at, byte: 0xEE }),
+                "the error names the corrupted byte itself"
+            );
+        }
+
+        // a `rec` source count above 3: opcode, key u16, count
+        let mut rec = Program::new("rec");
+        rec.instructions = vec![
+            Instruction::Rec {
+                key: 1,
+                srcs: [Some(Reg(1)), None, None],
+            },
+            Instruction::Halt,
+        ];
+        rec.code_len = 2;
+        let mut bytes = encode_program(&rec);
+        let count = 4 + 2 + 2 + rec.name.len() + 4 + 4 + 4 + 1 + 2;
+        assert_eq!(bytes[count], 1);
+        bytes[count] = 4;
+        assert_eq!(
             decode_program(&bytes),
-            Err(DecodeError::BadOpcode { .. })
-        ));
+            Err(DecodeError::BadOpcode { at: count, byte: 4 })
+        );
     }
 
     #[test]

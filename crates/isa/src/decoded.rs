@@ -185,8 +185,9 @@ impl DecodedInst {
     }
 
     /// Evaluates a compute instruction given its source operand *values* in
-    /// [`DecodedInst::srcs`] order; the decoded twin of
-    /// `amnesiac_sim::eval_compute`.
+    /// [`DecodedInst::srcs`] order. Compute semantics are defined once, in
+    /// [`DecodedInst::compute`]: the block engine, slice traversal and
+    /// validation replay all evaluate through it or this wrapper.
     ///
     /// # Panics
     ///

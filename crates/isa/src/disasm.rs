@@ -2,73 +2,8 @@
 
 use std::fmt;
 
-use crate::inst::{AluOp, BranchCond, CvtKind, FpOp, FpUnOp, Instruction};
+use crate::inst::Instruction;
 use crate::program::Program;
-
-impl fmt::Display for AluOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AluOp::Add => "add",
-            AluOp::Sub => "sub",
-            AluOp::Mul => "mul",
-            AluOp::Div => "div",
-            AluOp::Rem => "rem",
-            AluOp::And => "and",
-            AluOp::Or => "or",
-            AluOp::Xor => "xor",
-            AluOp::Shl => "shl",
-            AluOp::Shr => "shr",
-            AluOp::Slt => "slt",
-            AluOp::Sltu => "sltu",
-            AluOp::Seq => "seq",
-            AluOp::Min => "min",
-            AluOp::Max => "max",
-        };
-        f.write_str(s)
-    }
-}
-
-impl fmt::Display for FpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FpOp::Add => "fadd",
-            FpOp::Sub => "fsub",
-            FpOp::Mul => "fmul",
-            FpOp::Div => "fdiv",
-            FpOp::Min => "fmin",
-            FpOp::Max => "fmax",
-            FpOp::Flt => "flt",
-        };
-        f.write_str(s)
-    }
-}
-
-impl fmt::Display for FpUnOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FpUnOp::Sqrt => "fsqrt",
-            FpUnOp::Neg => "fneg",
-            FpUnOp::Abs => "fabs",
-            FpUnOp::Exp => "fexp",
-            FpUnOp::Ln => "fln",
-        };
-        f.write_str(s)
-    }
-}
-
-impl fmt::Display for BranchCond {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BranchCond::Eq => "beq",
-            BranchCond::Ne => "bne",
-            BranchCond::Lt => "blt",
-            BranchCond::Ge => "bge",
-            BranchCond::Ltu => "bltu",
-            BranchCond::Geu => "bgeu",
-        };
-        f.write_str(s)
-    }
-}
 
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -81,16 +16,7 @@ impl fmt::Display for Instruction {
             Instruction::Fpu { op, dst, lhs, rhs } => write!(f, "{op} {dst}, {lhs}, {rhs}"),
             Instruction::FpuUn { op, dst, src } => write!(f, "{op} {dst}, {src}"),
             Instruction::Fma { dst, a, b, c } => write!(f, "fma {dst}, {a}, {b}, {c}"),
-            Instruction::Cvt {
-                kind: CvtKind::I2F,
-                dst,
-                src,
-            } => write!(f, "i2f {dst}, {src}"),
-            Instruction::Cvt {
-                kind: CvtKind::F2I,
-                dst,
-                src,
-            } => write!(f, "f2i {dst}, {src}"),
+            Instruction::Cvt { kind, dst, src } => write!(f, "{kind} {dst}, {src}"),
             Instruction::Load { dst, base, offset } => {
                 write!(f, "ld {dst}, [{base}{offset:+}]")
             }
@@ -153,6 +79,7 @@ pub fn disassemble(program: &Program) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::{AluOp, BranchCond};
     use crate::program::SliceId;
     use crate::Reg;
 

@@ -1,5 +1,14 @@
 //! Instruction definitions: opcodes, operand accessors, and energy
 //! categories.
+//!
+//! Each op enum (`AluOp`, `FpOp`, `FpUnOp`, `BranchCond`, `CvtKind`) is
+//! `#[repr(u8)]` and has one descriptor table, whose row `i` describes the
+//! variant with discriminant `i`. That discriminant is the op's sub-op byte
+//! in binary images, and the row's mnemonic is its assembly name, so the
+//! listing, the assembler, the binary codec, `ALL` and `category()` all read
+//! the same table (see [`SubOp`]).
+
+use std::fmt;
 
 use crate::program::SliceId;
 use crate::Reg;
@@ -13,8 +22,103 @@ pub const MAX_SRC_OPERANDS: usize = 3;
 /// Maximum number of register destination operands of any instruction.
 pub const MAX_DEST_OPERANDS: usize = 1;
 
+/// One row of an op enum's descriptor table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpDesc<T> {
+    /// The variant this row describes.
+    pub op: T,
+    /// Its assembly mnemonic, unique across the whole instruction set.
+    pub mnemonic: &'static str,
+    /// The energy category of an instruction carrying this op.
+    pub category: Category,
+}
+
+const fn row<T>(op: T, mnemonic: &'static str, category: Category) -> OpDesc<T> {
+    OpDesc {
+        op,
+        mnemonic,
+        category,
+    }
+}
+
+/// An op enum described by a descriptor table: the sub-operation of an
+/// `Alu`/`Alui`, `Fpu`, `FpuUn`, `Branch` or `Cvt` instruction.
+pub trait SubOp: Copy + 'static {
+    /// The descriptor table; row `i` describes discriminant `i`.
+    const TABLE: &'static [OpDesc<Self>];
+
+    /// The discriminant, which is also the sub-op byte of binary images.
+    fn code(self) -> u8;
+
+    /// The variant whose sub-op byte is `byte`, if any.
+    fn from_code(byte: u8) -> Option<Self> {
+        Self::TABLE.get(usize::from(byte)).map(|row| row.op)
+    }
+
+    /// The variant whose mnemonic is `mnemonic`, if any.
+    fn from_mnemonic(mnemonic: &str) -> Option<Self> {
+        Self::TABLE
+            .iter()
+            .find(|row| row.mnemonic == mnemonic)
+            .map(|row| row.op)
+    }
+
+    /// This variant's descriptor row.
+    fn desc(self) -> &'static OpDesc<Self> {
+        &Self::TABLE[usize::from(self.code())]
+    }
+
+    /// The assembly mnemonic.
+    fn mnemonic(self) -> &'static str {
+        self.desc().mnemonic
+    }
+
+    /// The energy category of an instruction carrying this op.
+    fn category(self) -> Category {
+        self.desc().category
+    }
+}
+
+/// Wires an op enum to its descriptor table: implements [`SubOp`] and
+/// `Display`, derives `ALL`, and proves at compile time that row `i`
+/// describes discriminant `i`.
+macro_rules! sub_op {
+    ($ty:ident, $table:ident) => {
+        impl SubOp for $ty {
+            const TABLE: &'static [OpDesc<Self>] = &$table;
+            fn code(self) -> u8 {
+                self as u8
+            }
+        }
+
+        impl $ty {
+            /// Every variant, in sub-op byte order.
+            pub const ALL: [$ty; $table.len()] = {
+                let mut all = [$table[0].op; $table.len()];
+                let mut i = 0;
+                while i < all.len() {
+                    assert!($table[i].op as usize == i, "rows follow discriminants");
+                    all[i] = $table[i].op;
+                    i += 1;
+                }
+                all
+            };
+        }
+
+        // a free constant is evaluated even when nothing reads `ALL`
+        const _: [$ty; $table.len()] = $ty::ALL;
+
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.mnemonic())
+            }
+        }
+    };
+}
+
 /// Integer ALU operations (two register sources or register + immediate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum AluOp {
     /// Wrapping addition.
     Add,
@@ -49,27 +153,26 @@ pub enum AluOp {
     Max,
 }
 
-impl AluOp {
-    /// All integer ALU operations, for exhaustive testing and random
-    /// program generation.
-    pub const ALL: [AluOp; 15] = [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Mul,
-        AluOp::Div,
-        AluOp::Rem,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-        AluOp::Shl,
-        AluOp::Shr,
-        AluOp::Slt,
-        AluOp::Sltu,
-        AluOp::Seq,
-        AluOp::Min,
-        AluOp::Max,
-    ];
+const ALU_OPS: [OpDesc<AluOp>; 15] = [
+    row(AluOp::Add, "add", Category::IntAlu),
+    row(AluOp::Sub, "sub", Category::IntAlu),
+    row(AluOp::Mul, "mul", Category::IntMul),
+    row(AluOp::Div, "div", Category::IntDiv),
+    row(AluOp::Rem, "rem", Category::IntDiv),
+    row(AluOp::And, "and", Category::IntAlu),
+    row(AluOp::Or, "or", Category::IntAlu),
+    row(AluOp::Xor, "xor", Category::IntAlu),
+    row(AluOp::Shl, "shl", Category::IntAlu),
+    row(AluOp::Shr, "shr", Category::IntAlu),
+    row(AluOp::Slt, "slt", Category::IntAlu),
+    row(AluOp::Sltu, "sltu", Category::IntAlu),
+    row(AluOp::Seq, "seq", Category::IntAlu),
+    row(AluOp::Min, "min", Category::IntAlu),
+    row(AluOp::Max, "max", Category::IntAlu),
+];
+sub_op!(AluOp, ALU_OPS);
 
+impl AluOp {
     /// Applies the operation to two 64-bit operands.
     pub fn apply(self, lhs: u64, rhs: u64) -> u64 {
         match self {
@@ -102,19 +205,11 @@ impl AluOp {
             AluOp::Max => lhs.max(rhs),
         }
     }
-
-    /// The energy category of this operation.
-    pub fn category(self) -> Category {
-        match self {
-            AluOp::Mul => Category::IntMul,
-            AluOp::Div | AluOp::Rem => Category::IntDiv,
-            _ => Category::IntAlu,
-        }
-    }
 }
 
 /// Binary floating-point operations on `f64` bit patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum FpOp {
     /// IEEE-754 addition.
     Add,
@@ -132,18 +227,18 @@ pub enum FpOp {
     Flt,
 }
 
-impl FpOp {
-    /// All binary FP operations.
-    pub const ALL: [FpOp; 7] = [
-        FpOp::Add,
-        FpOp::Sub,
-        FpOp::Mul,
-        FpOp::Div,
-        FpOp::Min,
-        FpOp::Max,
-        FpOp::Flt,
-    ];
+const FP_OPS: [OpDesc<FpOp>; 7] = [
+    row(FpOp::Add, "fadd", Category::FpAdd),
+    row(FpOp::Sub, "fsub", Category::FpAdd),
+    row(FpOp::Mul, "fmul", Category::FpMul),
+    row(FpOp::Div, "fdiv", Category::FpDiv),
+    row(FpOp::Min, "fmin", Category::FpAdd),
+    row(FpOp::Max, "fmax", Category::FpAdd),
+    row(FpOp::Flt, "flt", Category::FpAdd),
+];
+sub_op!(FpOp, FP_OPS);
 
+impl FpOp {
     /// Applies the operation to two operands interpreted as `f64`.
     pub fn apply(self, lhs: u64, rhs: u64) -> u64 {
         let a = f64::from_bits(lhs);
@@ -170,19 +265,11 @@ impl FpOp {
             FpOp::Flt => (a < b) as u64,
         }
     }
-
-    /// The energy category of this operation.
-    pub fn category(self) -> Category {
-        match self {
-            FpOp::Mul => Category::FpMul,
-            FpOp::Div => Category::FpDiv,
-            _ => Category::FpAdd,
-        }
-    }
 }
 
 /// Unary floating-point operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum FpUnOp {
     /// Square root.
     Sqrt,
@@ -196,16 +283,17 @@ pub enum FpUnOp {
     Ln,
 }
 
-impl FpUnOp {
-    /// All unary FP operations.
-    pub const ALL: [FpUnOp; 5] = [
-        FpUnOp::Sqrt,
-        FpUnOp::Neg,
-        FpUnOp::Abs,
-        FpUnOp::Exp,
-        FpUnOp::Ln,
-    ];
+/// The transcendental and root operations are modelled at FP-divide cost.
+const FP_UN_OPS: [OpDesc<FpUnOp>; 5] = [
+    row(FpUnOp::Sqrt, "fsqrt", Category::FpDiv),
+    row(FpUnOp::Neg, "fneg", Category::FpAdd),
+    row(FpUnOp::Abs, "fabs", Category::FpAdd),
+    row(FpUnOp::Exp, "fexp", Category::FpDiv),
+    row(FpUnOp::Ln, "fln", Category::FpDiv),
+];
+sub_op!(FpUnOp, FP_UN_OPS);
 
+impl FpUnOp {
     /// Applies the operation to an operand interpreted as `f64`.
     pub fn apply(self, src: u64) -> u64 {
         let x = f64::from_bits(src);
@@ -217,25 +305,23 @@ impl FpUnOp {
             FpUnOp::Ln => x.ln().to_bits(),
         }
     }
-
-    /// The energy category of this operation. The transcendental and root
-    /// operations are modelled at FP-divide cost.
-    pub fn category(self) -> Category {
-        match self {
-            FpUnOp::Neg | FpUnOp::Abs => Category::FpAdd,
-            _ => Category::FpDiv,
-        }
-    }
 }
 
 /// Conversions between the integer and floating-point views of a register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum CvtKind {
     /// Signed integer → `f64`.
     I2F,
     /// `f64` → signed integer (saturating, NaN → 0).
     F2I,
 }
+
+const CVT_KINDS: [OpDesc<CvtKind>; 2] = [
+    row(CvtKind::I2F, "i2f", Category::FpAdd),
+    row(CvtKind::F2I, "f2i", Category::FpAdd),
+];
+sub_op!(CvtKind, CVT_KINDS);
 
 impl CvtKind {
     /// Applies the conversion.
@@ -256,6 +342,7 @@ impl CvtKind {
 
 /// Branch conditions comparing two registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum BranchCond {
     /// Taken if equal.
     Eq,
@@ -271,17 +358,17 @@ pub enum BranchCond {
     Geu,
 }
 
-impl BranchCond {
-    /// All branch conditions.
-    pub const ALL: [BranchCond; 6] = [
-        BranchCond::Eq,
-        BranchCond::Ne,
-        BranchCond::Lt,
-        BranchCond::Ge,
-        BranchCond::Ltu,
-        BranchCond::Geu,
-    ];
+const BRANCH_CONDS: [OpDesc<BranchCond>; 6] = [
+    row(BranchCond::Eq, "beq", Category::Branch),
+    row(BranchCond::Ne, "bne", Category::Branch),
+    row(BranchCond::Lt, "blt", Category::Branch),
+    row(BranchCond::Ge, "bge", Category::Branch),
+    row(BranchCond::Ltu, "bltu", Category::Branch),
+    row(BranchCond::Geu, "bgeu", Category::Branch),
+];
+sub_op!(BranchCond, BRANCH_CONDS);
 
+impl BranchCond {
     /// Evaluates the condition on two 64-bit operands.
     pub fn eval(self, lhs: u64, rhs: u64) -> bool {
         match self {
@@ -446,10 +533,10 @@ impl Instruction {
             Instruction::Fpu { op, .. } => op.category(),
             Instruction::FpuUn { op, .. } => op.category(),
             Instruction::Fma { .. } => Category::Fma,
-            Instruction::Cvt { .. } => Category::FpAdd,
+            Instruction::Cvt { kind, .. } => kind.category(),
             Instruction::Load { .. } => Category::Load,
             Instruction::Store { .. } => Category::Store,
-            Instruction::Branch { .. } => Category::Branch,
+            Instruction::Branch { cond, .. } => cond.category(),
             Instruction::Jump { .. } => Category::Jump,
             Instruction::Halt => Category::Jump,
             Instruction::Rcmp { .. } => Category::Rcmp,
@@ -609,6 +696,8 @@ mod tests {
         assert_eq!(FpOp::Div.category(), Category::FpDiv);
         assert_eq!(FpUnOp::Sqrt.category(), Category::FpDiv);
         assert_eq!(FpUnOp::Neg.category(), Category::FpAdd);
+        assert_eq!(CvtKind::F2I.category(), Category::FpAdd);
+        assert_eq!(BranchCond::Geu.category(), Category::Branch);
         assert!(Category::Load.is_memory());
         assert!(Category::Store.is_memory());
         assert!(Category::Fma.is_non_mem());

@@ -58,8 +58,8 @@ pub use builder::{Label, ProgramBuilder, DATA_BASE};
 pub use decoded::{predecode, DecodedInst, DecodedOp};
 pub use disasm::disassemble;
 pub use inst::{
-    AluOp, BranchCond, Category, CvtKind, FpOp, FpUnOp, Instruction, MAX_DEST_OPERANDS,
-    MAX_SRC_OPERANDS,
+    AluOp, BranchCond, Category, CvtKind, FpOp, FpUnOp, Instruction, OpDesc, SubOp,
+    MAX_DEST_OPERANDS, MAX_SRC_OPERANDS,
 };
 pub use program::{
     DataImage, LeafInfo, MemRange, OperandPlan, OperandSource, Program, SliceId, SliceMeta,

@@ -5,10 +5,13 @@
 //!
 //! The in-order core simulator: functional execution plus timing and energy
 //! accounting for *classic* (non-amnesic) execution, the shared machine
-//! state ([`Machine`]) and pure instruction semantics ([`eval_compute`]),
-//! and the one block-dispatch engine ([`run_blocks`]) that the classic core,
-//! the amnesic core in `amnesiac-core` and validation replay in
-//! `amnesiac-compiler` all run on through their [`Hooks`].
+//! state ([`Machine`]), the deferred-exception check of slice traversal
+//! ([`decoded_exception`]), and the one block-dispatch engine
+//! ([`run_blocks`]) that the classic core, the amnesic core in
+//! `amnesiac-core` and validation replay in `amnesiac-compiler` all run on
+//! through their [`Hooks`]. Instruction values come from
+//! [`amnesiac_isa::DecodedInst::eval_compute`], the one definition of
+//! compute semantics.
 //!
 //! The model matches the paper's Table 3 machine: a single in-order core at
 //! 1.09 GHz with L1-I/L1-D/L2/DRAM. Non-memory instructions take one cycle;
@@ -47,5 +50,5 @@ pub use classic::{
     ClassicCore, ClassicHooks, NullObserver, Observer, RetireEvent, RunResult, TraceWriter,
 };
 pub use engine::{run_blocks, Counts, Hooks, RcmpRetire};
-pub use eval::{compute_exception, decoded_exception, eval_compute, ExceptionKind};
+pub use eval::{decoded_exception, ExceptionKind};
 pub use machine::{CoreConfig, Machine, RunError};
